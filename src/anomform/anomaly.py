@@ -208,7 +208,8 @@ def theta_quotient_pair_series(
         ).inverse()
         series = xseries_mul(series, [entry * scalar_inv for entry in numer], n_x)
     for i in range(1, n_x, 2):
-        assert not series[i], "theta-quotient pair factor must be even in x"
+        if series[i]:
+            raise ArithmeticError("theta-quotient pair factor must be even in x")
     return series[0::2][: max_weight + 1]
 
 
@@ -237,7 +238,7 @@ def p_form(
             prefactor = l_class(profile, normalize_l_variant(l_variant))
             theta = build_theta_bundle(THETA1, profile, order2)
         return theta.form_series().map_coefficients(
-            lambda ch: (prefactor * ch).degree_component(degree), ring
+            lambda ch: prefactor.mul_degree(ch, degree), ring
         )
     if route != ROUTE_THETA:
         raise ValueError(f"unknown route {route!r}")
@@ -287,7 +288,7 @@ def verify_decomposition_identity(
         ahat = a_hat(profile)
         brs = decompose_theta2(m, profile, order2)
         for r, (h, br) in enumerate(zip(hs, brs)):
-            expected = (ahat * br.to_graded()).degree_component(degree)
+            expected = ahat.mul_degree(br.to_graded(), degree)
             if h != expected:
                 status = "fail"
                 residuals.append(
@@ -327,7 +328,7 @@ def main_identity_sides(fiber_dim: int, l_variant: str = L_FULL):
     lhs = l_class(profile, normalize_l_variant(l_variant)).degree_component(degree)
     rhs = GradedClass.zero(profile)
     for r, br in enumerate(brs):
-        h = (ahat * br.to_graded()).degree_component(degree)
+        h = ahat.mul_degree(br.to_graded(), degree)
         rhs = rhs + h * Fraction(1, 64**r)
     return lhs, rhs
 
@@ -397,7 +398,7 @@ def agw_densities(dim: int, l_variant: str = L_FULL):
     profile = RootProfile(dim, degree)
     ahat = a_hat(profile)
     i_half = ahat.degree_component(degree)
-    i_three_half = (ahat * (chern_character(profile) - 1)).degree_component(degree)
+    i_three_half = ahat.mul_degree(chern_character(profile) - 1, degree)
     i_a = l_class(profile, normalize_l_variant(l_variant)).degree_component(degree) * Fraction(-1, 8)
     return i_half, i_three_half, i_a
 
@@ -457,11 +458,15 @@ def corollary_coefficients(fiber_dim: int) -> CorollaryVector:
         ratios = set()
         for mon, c in tc_form.items():
             ratios.add(combo.form.coefficient(mon) / c)
-        assert len(ratios) == 1, "combination is not a multiple of ch(T_C Z) plus constants"
+        if len(ratios) != 1:
+            raise ArithmeticError(
+                "combination is not a multiple of ch(T_C Z) plus constants"
+            )
         alpha = ratios.pop()
-        assert combo.form == tc_form * alpha, "combination has extra form content"
-    else:
-        assert not combo.form, "combination has form content on a formless fiber"
+        if combo.form != tc_form * alpha:
+            raise ArithmeticError("combination has extra form content")
+    elif combo.form:
+        raise ArithmeticError("combination has form content on a formless fiber")
     beta = Fraction(combo.rank) - alpha * profile.fiber_dim
     return CorollaryVector(fiber_dim, (Fraction(1), -alpha, -beta))
 

@@ -13,6 +13,29 @@ roots themselves: log prod f(x_j) = sum log f(x_j) is a series in
 s_2, s_4, ..., which keeps nine root pairs cheap.  The same pipeline runs
 over any coefficient ring (rationals here; q-series elsewhere), which is
 what the theta-quotient product route relies on.
+
+Every ring product goes through one weight-graded kernel
+(``_graded_product``, after the weight grading of Hirzebruch, Berger and
+Jung, *Manifolds and Modular Forms*):
+
+- **Weight buckets.** Each operand monomial's weight is memoised.  The right
+  operand is bucketed by weight, so a left monomial of weight w1 visits only
+  the buckets whose weight keeps the product inside the requested window;
+  pairs above the truncation are never formed.  Monomials travel through
+  the loop as integer codes (exponents as base-(top weight + 1) digits), so
+  a monomial product is one integer addition.
+- **Integer numerators.** When both operands carry ``Fraction``
+  coefficients, each is cleared to integers over its common denominator
+  once; the loop multiplies and accumulates integers, and one ``Fraction``
+  is built per output monomial.  Any other coefficient ring (the q-series
+  values of the theta-quotient route) runs the same loop with its own
+  arithmetic.
+- **Degree-only products.** ``GradedClass.mul_degree`` restricts the window
+  to a single weight, so ``(a * b).degree_component(d)`` is computed without
+  forming the rest of the product.
+
+The kernel's output is already clean (trimmed, in range, nonzero), so it is
+wrapped into a ``GradedClass`` without another normalisation pass.
 """
 
 from __future__ import annotations
@@ -20,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .qseries import TruncationError
 
@@ -52,6 +75,7 @@ class RootProfile:
         return self.max_form_degree // 4
 
 
+@lru_cache(maxsize=None)
 def monomial_weight(mon: tuple) -> int:
     return sum((i + 1) * a for i, a in enumerate(mon))
 
@@ -63,14 +87,68 @@ def _trim(mon: tuple) -> tuple:
     return tuple(mon[:k])
 
 
-def _mon_mul(m1: tuple, m2: tuple) -> tuple:
-    if len(m1) < len(m2):
-        m1, m2 = m2, m1
-    return tuple(a + (m2[i] if i < len(m2) else 0) for i, a in enumerate(m1))
-
-
 def _grlex_key(mon: tuple):
     return (monomial_weight(mon), mon)
+
+
+@lru_cache(maxsize=None)
+def _mon_code(mon: tuple, base: int) -> int:
+    """Exponents as base-`base` digits: codes add when monomials multiply."""
+    code = 0
+    for a in reversed(mon):
+        code = code * base + a
+    return code
+
+
+@lru_cache(maxsize=None)
+def _code_mon(code: int, base: int) -> tuple:
+    """Trimmed exponent tuple of a monomial code."""
+    mon = []
+    while code:
+        code, a = divmod(code, base)
+        mon.append(a)
+    return tuple(mon)
+
+
+def _graded_product(a: dict, b: dict, w_lo: int, w_hi: int) -> dict:
+    """Monomial-dict product keeping only weights w_lo..w_hi.
+
+    The one multiplication kernel of the ring: `a` and `b` map trimmed
+    p-monomials to coefficients of any ring.  Returns a dict of trimmed
+    monomials with nonzero coefficients.  Every exponent of a kept product
+    is at most w_hi, so base-(w_hi + 1) codes never carry.
+    """
+    if not a or not b:
+        return {}
+    exact = all(type(c) is Fraction for c in a.values()) and all(
+        type(c) is Fraction for c in b.values()
+    )
+    if exact:
+        den_a = lcm(*[c.denominator for c in a.values()])
+        den_b = lcm(*[c.denominator for c in b.values()])
+        a = {m: c.numerator * (den_a // c.denominator) for m, c in a.items()}
+        b = {m: c.numerator * (den_b // c.denominator) for m, c in b.items()}
+    base = w_hi + 1
+    buckets = [[] for _ in range(w_hi + 1)]  # right operand by weight
+    for m, c in b.items():
+        w = monomial_weight(m)
+        if w <= w_hi:
+            buckets[w].append((_mon_code(m, base), c))
+    acc = {}
+    for m1, c1 in a.items():
+        w1 = monomial_weight(m1)
+        if w1 > w_hi:
+            continue
+        k1 = _mon_code(m1, base)
+        for bucket in buckets[max(w_lo - w1, 0) : w_hi - w1 + 1]:
+            for k2, c2 in bucket:
+                k = k1 + k2
+                prod = c1 * c2
+                acc[k] = acc[k] + prod if k in acc else prod
+    if exact:
+        den = den_a * den_b
+        return {_code_mon(k, base): Fraction(n, den) for k, n in acc.items() if n}
+    return {_code_mon(k, base): c for k, c in acc.items() if c}
 
 
 class GradedClass:
@@ -93,6 +171,14 @@ class GradedClass:
                 comp[mon] = comp[mon] + c if mon in comp else c
         self.profile = profile
         self._comp = {m: c for m, c in comp.items() if c}
+
+    @classmethod
+    def _wrap(cls, profile: RootProfile, comp: dict) -> "GradedClass":
+        """Adopt a clean dict: trimmed monomials in range, nonzero Fractions."""
+        obj = object.__new__(cls)
+        obj.profile = profile
+        obj._comp = comp
+        return obj
 
     # -- constructors ------------------------------------------------------
 
@@ -127,23 +213,28 @@ class GradedClass:
     def constant_term(self) -> Fraction:
         return self._comp.get((), Fraction(0))
 
-    def degree_component(self, d: int) -> "GradedClass":
-        """Homogeneous form-degree-d part (d even)."""
+    def _degree_weight(self, d: int):
+        """p-weight of form degree d, or None when d is not a multiple of 4."""
         if d % 2:
             raise ValueError("form degrees are even")
         if d > self.profile.max_form_degree:
             raise TruncationError(
                 f"degree {d} exceeds truncation {self.profile.max_form_degree}"
             )
-        if d % 4:
+        return None if d % 4 else d // 4
+
+    def degree_component(self, d: int) -> "GradedClass":
+        """Homogeneous form-degree-d part (d even)."""
+        w = self._degree_weight(d)
+        if w is None:
             return GradedClass.zero(self.profile)
-        w = d // 4
-        return GradedClass(
-            self.profile, {m: c for m, c in self._comp.items() if monomial_weight(m) == w}
+        return GradedClass._wrap(
+            self.profile,
+            {m: c for m, c in self._comp.items() if monomial_weight(m) == w},
         )
 
     def positive_part(self) -> "GradedClass":
-        return GradedClass(self.profile, {m: c for m, c in self._comp.items() if m})
+        return GradedClass._wrap(self.profile, {m: c for m, c in self._comp.items() if m})
 
     def __bool__(self) -> bool:
         return bool(self._comp)
@@ -167,13 +258,18 @@ class GradedClass:
         self._check(other)
         comp = dict(self._comp)
         for m, c in other._comp.items():
-            comp[m] = comp[m] + c if m in comp else c
-        return GradedClass(self.profile, comp)
+            if m in comp:
+                c = comp[m] + c
+                if not c:
+                    del comp[m]
+                    continue
+            comp[m] = c
+        return GradedClass._wrap(self.profile, comp)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedClass(self.profile, {m: -c for m, c in self._comp.items()})
+        return GradedClass._wrap(self.profile, {m: -c for m, c in self._comp.items()})
 
     def __sub__(self, other):
         if not isinstance(other, GradedClass):
@@ -186,19 +282,24 @@ class GradedClass:
     def __mul__(self, other):
         if not isinstance(other, GradedClass):
             scalar = Fraction(other)
-            return GradedClass(self.profile, {m: c * scalar for m, c in self._comp.items()})
+            if not scalar:
+                return GradedClass.zero(self.profile)
+            return GradedClass._wrap(
+                self.profile, {m: c * scalar for m, c in self._comp.items()}
+            )
         self._check(other)
-        w_max = self.profile.max_weight
-        comp = {}
-        for m1, c1 in self._comp.items():
-            w1 = monomial_weight(m1)
-            for m2, c2 in other._comp.items():
-                if w1 + monomial_weight(m2) > w_max:
-                    continue
-                m = _mon_mul(m1, m2)
-                prod = c1 * c2
-                comp[m] = comp[m] + prod if m in comp else prod
-        return GradedClass(self.profile, comp)
+        return GradedClass._wrap(
+            self.profile,
+            _graded_product(self._comp, other._comp, 0, self.profile.max_weight),
+        )
+
+    def mul_degree(self, other: "GradedClass", d: int) -> "GradedClass":
+        """(self * other).degree_component(d) without forming the other degrees."""
+        self._check(other)
+        w = self._degree_weight(d)
+        if w is None:
+            return GradedClass.zero(self.profile)
+        return GradedClass._wrap(self.profile, _graded_product(self._comp, other._comp, w, w))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -407,19 +508,6 @@ def elementary_from_power_sums(psums: list, k_max: int, one):
     return es
 
 
-def _gdict_mul(a: dict, b: dict, w_max: int) -> dict:
-    out = {}
-    for m1, c1 in a.items():
-        w1 = monomial_weight(m1)
-        for m2, c2 in b.items():
-            if w1 + monomial_weight(m2) > w_max:
-                continue
-            m = _mon_mul(m1, m2)
-            prod = c1 * c2
-            out[m] = out[m] + prod if m in out else prod
-    return {m: c for m, c in out.items() if c}
-
-
 def product_over_root_pairs(
     u_coeffs: list, profile: RootProfile, one, include_zero_root: bool = True
 ) -> dict:
@@ -465,7 +553,7 @@ def product_over_root_pairs(
     result = {(): one}
     term = {(): one}
     for j in range(1, w_max + 1):
-        term = _gdict_mul(term, acc, w_max)
+        term = _graded_product(term, acc, 0, w_max)
         if not term:
             break
         inv_fact = Fraction(1, factorial(j))

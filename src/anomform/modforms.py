@@ -172,9 +172,11 @@ def _triangular_solve(f: HalfQSeries, weight: int):
     basis = modular_basis(weight, max(f.order2, m + 1))
     matrix = [[basis[r].coefficient(s) for r in range(m + 1)] for s in range(m + 1)]
     for r in range(m + 1):
-        assert abs(matrix[r][r]) == 1, "triangular diagonal must be a unit"
+        if abs(matrix[r][r]) != 1:
+            raise ArithmeticError("triangular diagonal must be a unit")
         for s in range(r):
-            assert matrix[s][r] == 0, "basis matrix must be lower triangular"
+            if matrix[s][r] != 0:
+                raise ArithmeticError("basis matrix must be lower triangular")
     xs = []
     for s in range(m + 1):
         acc = f.coefficient(s)
@@ -205,7 +207,8 @@ def combination_matrix(weight: int) -> list:
             inv[s][j] = -acc / matrix[s][s]
     for row in inv:
         for entry in row:
-            assert entry.denominator == 1, "combination matrix must be integral"
+            if entry.denominator != 1:
+                raise ArithmeticError("combination matrix must be integral")
     return [[int(entry) for entry in row] for row in inv]
 
 
@@ -263,8 +266,8 @@ def decompose_theta2(
 
     Returns the virtual characters labeled b_0..b_m (e = 2m+1) or z_0..z_m
     (e = 2m) depending on the fiber-dimension class.  The matched-window
-    residual is asserted to vanish identically and the solve's combination
-    matrix is asserted integral.
+    residual must vanish identically and the solve's combination matrix must
+    be integral; either failure raises ArithmeticError.
     """
     case = decomposition_case(m, profile.fiber_dim)
     weight = 4 * m + 2 if case == "b" else 4 * m
@@ -274,13 +277,14 @@ def decompose_theta2(
         theta = build_theta_bundle(THETA2, profile, order2)
     f = theta.form_series().truncate(order2)
     xs, basis, _ = _triangular_solve(f, weight)
-    combination_matrix(weight)  # asserts integrality of the solve
+    combination_matrix(weight)  # raises unless the solve is integral
     # matched-window residual must vanish exactly
     recon = HalfQSeries.zero(f.ring, f.order2)
     for x, b in zip(xs, basis):
         recon = recon + b.lift_to(f.ring) * x
     for s in range(m + 1):
-        assert f.coefficient(s) == recon.coefficient(s), "matched window residual"
+        if f.coefficient(s) != recon.coefficient(s):
+            raise ArithmeticError("matched window residual")
     prefix = case
     return [
         CharacterElement.from_graded(x, f"{prefix}_{r}") for r, x in enumerate(xs)

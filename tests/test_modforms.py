@@ -1,6 +1,10 @@
 """Nullwert expansions, delta/epsilon, and the triangular decompositions."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -244,3 +248,39 @@ def test_b2_cross_checked_by_numeric_resolve():
             solved.append(acc / matrix[s][s])
         for r, el in enumerate(elements):
             assert solved[r] == eval_at_roots(el.to_graded(), values)
+
+
+# A basis whose leading monomial is doubled breaks the unit diagonal.  The
+# check must raise even under ``python -O``, which strips ``assert``.
+_PERTURBED_DIAGONAL = """
+import sys
+from anomform import modforms
+from anomform.chroot import RootProfile
+
+if not sys.flags.optimize:
+    sys.exit("expected to run under python -O")
+original = modforms.modular_basis
+
+def perturbed(weight, order2):
+    basis = original(weight, order2)
+    return [basis[0] * 2] + basis[1:]
+
+modforms.modular_basis = perturbed
+modforms.decompose_theta2(1, RootProfile(10, 12))
+"""
+
+
+def test_checks_survive_python_O():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _PERTURBED_DIAGONAL],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "ArithmeticError: triangular diagonal must be a unit" in proc.stderr
+

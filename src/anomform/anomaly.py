@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .chroot import (
@@ -37,9 +38,9 @@ from .witten import (
     THETA1,
     THETA2,
     CharacterElement,
-    build_theta_bundle,
     chern_character,
     default_theta_order2,
+    theta_bundle,
 )
 
 ROUTE_KTHEORY = "ktheory"
@@ -159,9 +160,10 @@ def _one_plus_exp_q(c: int, sign: int, exp2: int, order2: int, n_x: int) -> list
     return out
 
 
+@lru_cache(maxsize=None)
 def theta_quotient_pair_series(
     kind: str, l_variant: str, order2: int, max_weight: int
-) -> list:
+) -> tuple:
     """Even u-coefficients (u = x^2) of one root pair's theta-quotient factor.
 
     The q^0 term is calibrated to the matching K-theory prefactor (A-roof
@@ -210,7 +212,7 @@ def theta_quotient_pair_series(
     for i in range(1, n_x, 2):
         if series[i]:
             raise ArithmeticError("theta-quotient pair factor must be even in x")
-    return series[0::2][: max_weight + 1]
+    return tuple(series[0::2][: max_weight + 1])
 
 
 def p_form(
@@ -233,10 +235,10 @@ def p_form(
     if route == ROUTE_KTHEORY:
         if kind in (P2, Q2):
             prefactor = a_hat(profile)
-            theta = build_theta_bundle(THETA2, profile, order2)
+            theta = theta_bundle(THETA2, profile, order2)
         else:
             prefactor = l_class(profile, normalize_l_variant(l_variant))
-            theta = build_theta_bundle(THETA1, profile, order2)
+            theta = theta_bundle(THETA1, profile, order2)
         return theta.form_series().map_coefficients(
             lambda ch: prefactor.mul_degree(ch, degree), ring
         )
@@ -287,6 +289,10 @@ def verify_decomposition_identity(
         # cross-check h_r against the bundle-level decomposition
         ahat = a_hat(profile)
         brs = decompose_theta2(m, profile, order2)
+        for r in range(min(len(hs), len(brs)), max(len(hs), len(brs))):
+            status = "fail"
+            missing = f"{case}_{r}" if r >= len(brs) else f"h_{r}"
+            residuals.append({"r": r, "error": f"{missing} is missing from the decomposition"})
         for r, (h, br) in enumerate(zip(hs, brs)):
             expected = ahat.mul_degree(br.to_graded(), degree)
             if h != expected:

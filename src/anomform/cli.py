@@ -3,9 +3,9 @@
 Exact series are printed (or written) as JSON wrapped in a versioned
 envelope; verification suites exit 0 only when every check passes
 (degenerate-zero results count as passes only under --allow-degenerate).
-Exit code 2 flags usage errors.  A content-addressed cache directory can
-be supplied to reuse expensive exact expansions across runs; warm-cache
-output is byte-identical to cold-cache output.
+Exit code 2 flags usage errors.  Checks run serially in one process and
+share its memoised theta bundles, modular bases and genera, so each exact
+artifact is built once per run.
 
 q-orders on the command line are in doubled exponent units (the exp2 of
 q^(exp2/2)) and are exclusive bounds, matching the series representation.
@@ -14,12 +14,9 @@ q^(exp2/2)) and are exclusive bounds, matching the series representation.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,19 +26,10 @@ from .anomaly import (
     identity_parameters,
     identity_profile,
 )
-from .chroot import RootProfile
 from .genera import normalize_l_variant
 from .modforms import decomposition_case
-from .qseries import HalfQSeries
-from .witten import (
-    THETA1,
-    THETA2,
-    CharacterRing,
-    ThetaBundleSeries,
-    build_theta_bundle,
-)
+from .witten import THETA1, THETA2, theta_bundle
 
-CODE_VERSION = "1"
 REPORT_VERSION = 1
 
 B_DIMENSIONS = (1, 2, 3, 9, 10, 11, 17, 18, 19)
@@ -62,8 +50,6 @@ class RunConfig:
     l_variant: str = "full"
     out_format: str = "json"
     out_path: str | None = None
-    cache_dir: str | None = None
-    jobs: int = 0
     allow_degenerate: bool = False
 
     def to_obj(self) -> dict:
@@ -73,8 +59,6 @@ class RunConfig:
             "tol": self.tolerance,
             "l_variant": self.l_variant,
             "format": self.out_format,
-            "cache_dir": self.cache_dir,
-            "jobs": self.jobs,
         }
 
 
@@ -99,8 +83,6 @@ _CONFIG_KEYS = {
     "l_variant": ("l_variant", str),
     "format": ("out_format", str),
     "out": ("out_path", str),
-    "cache_dir": ("cache_dir", str),
-    "jobs": ("jobs", int),
 }
 
 
@@ -119,8 +101,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         ("l_variant", "l_variant"),
         ("format", "out_format"),
         ("out", "out_path"),
-        ("cache_dir", "cache_dir"),
-        ("jobs", "jobs"),
     ):
         value = getattr(args, flag, None)
         if value is not None:
@@ -131,63 +111,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError("tolerance must be positive")
     if config.q_order2 is not None and config.q_order2 < 1:
         raise UsageError("q-order must be at least 1")
-    if config.jobs < 0:
-        raise UsageError("jobs must be non-negative (0 = auto)")
     return config
-
-
-# -- cache -------------------------------------------------------------------
-
-
-def _cache_key(operation: str, params: dict) -> str:
-    payload = json.dumps(
-        {"version": CODE_VERSION, "op": operation, "params": params}, sort_keys=True
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _cache_load(config: RunConfig, operation: str, params: dict):
-    if not config.cache_dir:
-        return None
-    path = Path(config.cache_dir) / f"{_cache_key(operation, params)}.json"
-    if not path.exists():
-        return None
-    return json.loads(path.read_text())
-
-
-def _cache_store(config: RunConfig, operation: str, params: dict, obj) -> None:
-    if not config.cache_dir:
-        return
-    directory = Path(config.cache_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{_cache_key(operation, params)}.json"
-    path.write_text(json.dumps(obj, sort_keys=True))
-
-
-def theta_bundle_cached(
-    config: RunConfig, kind: str, fiber_dim: int, order2: int
-) -> ThetaBundleSeries:
-    # an explicit --max-degree admits fibers outside the identity classes
-    if config.max_form_degree is not None:
-        profile = RootProfile(fiber_dim, config.max_form_degree)
-    else:
-        profile = identity_profile(fiber_dim)
-    params = {
-        "kind": kind,
-        "fiber_dim": fiber_dim,
-        "max_form_degree": profile.max_form_degree,
-        "order2": order2,
-    }
-    cached = _cache_load(config, "theta-bundle", params)
-    ring = CharacterRing(profile)
-    if cached is not None:
-        series = HalfQSeries.from_obj(ring, cached["series"], order2)
-        return ThetaBundleSeries(kind, profile, series)
-    bundle = build_theta_bundle(kind, profile, order2)
-    _cache_store(
-        config, "theta-bundle", params, {"series": bundle.series.to_obj()}
-    )
-    return bundle
 
 
 # -- command implementations ---------------------------------------------------
@@ -230,7 +154,9 @@ def cmd_expand(args: argparse.Namespace, config: RunConfig) -> tuple:
         if args.dim is None:
             raise UsageError("theta-bundle requires --dim")
         try:
-            bundle = theta_bundle_cached(config, args.kind, args.dim, order2)
+            # an explicit --max-degree admits fibers outside the identity classes
+            profile = identity_profile(args.dim, config.max_form_degree)
+            bundle = theta_bundle(args.kind, profile, order2)
         except ValueError as err:
             raise UsageError(str(err))
         results.append(
@@ -264,8 +190,7 @@ def cmd_decompose(args: argparse.Namespace, config: RunConfig) -> tuple:
         raise UsageError(
             f"q-order {order2} below m+3 = {args.m + 3} (matched window plus guards)"
         )
-    theta = theta_bundle_cached(config, THETA2, args.dim, order2)
-    elements = modforms.decompose_theta2(args.m, profile, order2, theta)
+    elements = modforms.decompose_theta2(args.m, profile, order2)
     results = [
         {"case": case, "m": args.m, "fiber_dim": args.dim, **el.to_obj()}
         for el in elements
@@ -330,20 +255,6 @@ def _numeric_reports(args: argparse.Namespace, config: RunConfig) -> list:
     return reports
 
 
-def _run_tasks(tasks: list, jobs: int) -> list:
-    """Run (sort_key, callable) tasks, fanning out when jobs allows."""
-    if jobs == 0:
-        jobs = min(len(tasks), os.cpu_count() or 1)
-    if jobs <= 1 or len(tasks) <= 1:
-        outcomes = [(key, fn()) for key, fn in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [(key, pool.submit(fn)) for key, fn in tasks]
-            outcomes = [(key, fut.result()) for key, fut in futures]
-    outcomes.sort(key=lambda kv: kv[0])
-    return [obj for _, obj in outcomes]
-
-
 def cmd_verify(args: argparse.Namespace, config: RunConfig) -> tuple:
     suite = args.suite
     tasks = []
@@ -357,13 +268,8 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> tuple:
             decomposition_case(args.m, args.dim)
         except ValueError as err:
             raise UsageError(str(err))
-    if suite in ("main", "all"):
-        for dim in dims or SWEEP_DIMENSIONS:
-            _, m, _ = identity_parameters(dim)
-            add(
-                ("eq3.14/35", dim, m, config.l_variant),
-                lambda d=dim: anomaly.verify_main_identity(d, config.l_variant),
-            )
+    # decompositions first: they request the largest bundle order, so the
+    # later checks read the memoised bundle instead of rebuilding it
     if suite in ("decomposition", "all"):
         for dim in dims or SWEEP_DIMENSIONS:
             _, m, _ = identity_parameters(dim)
@@ -376,6 +282,13 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> tuple:
             add(
                 ("eq3.12/33", dim, m, ""),
                 lambda d=dim, o=order2: anomaly.verify_decomposition_identity(d, o),
+            )
+    if suite in ("main", "all"):
+        for dim in dims or SWEEP_DIMENSIONS:
+            _, m, _ = identity_parameters(dim)
+            add(
+                ("eq3.14/35", dim, m, config.l_variant),
+                lambda d=dim: anomaly.verify_main_identity(d, config.l_variant),
             )
     if suite in ("agw", "all"):
         for dim in dims or (2, 6, 10):
@@ -414,9 +327,10 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> tuple:
     if not tasks:
         raise UsageError(f"unknown verify suite {suite!r}")
 
-    outcomes = _run_tasks(tasks, config.jobs)
+    # reports are ordered by key, not by run order
+    outcomes = sorted(((key, fn()) for key, fn in tasks), key=lambda kv: kv[0])
     results = []
-    for obj in outcomes:
+    for _, obj in outcomes:
         if isinstance(obj, list):
             results.extend(r.to_obj() for r in obj)
         else:
@@ -569,8 +483,6 @@ def _common_options() -> argparse.ArgumentParser:
                         help="L-class angle convention (default full)")
     common.add_argument("--format", choices=["json", "table"], help="output format")
     common.add_argument("--out", help="write output to this path instead of stdout")
-    common.add_argument("--cache-dir", dest="cache_dir", help="exact-series cache directory")
-    common.add_argument("--jobs", type=int, help="parallel verification tasks (0 = auto)")
     common.add_argument("--config", help="flat key=value config file (flags override)")
     common.add_argument("--allow-degenerate", action="store_true",
                         help="count degenerate-zero results as passing")

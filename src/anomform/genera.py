@@ -10,6 +10,7 @@ so both are first-class.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .chroot import (
@@ -83,11 +84,13 @@ def _x_order(profile: RootProfile) -> int:
     return 2 * profile.max_weight + 1
 
 
+@lru_cache(maxsize=None)
 def a_hat(profile: RootProfile) -> GradedClass:
     """A-roof class: prod (x/2)/sinh(x/2) over the root multiset."""
     return product_over_roots(ahat_root_series(_x_order(profile)), profile)
 
 
+@lru_cache(maxsize=None)
 def l_class(profile: RootProfile, variant: str = L_FULL) -> GradedClass:
     """Hirzebruch L-class in the requested angle convention.
 

@@ -15,15 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .chroot import RootProfile
 from .qseries import QQ, HalfQSeries, TruncationError
-from .witten import (
-    THETA2,
-    CharacterElement,
-    ThetaBundleSeries,
-    build_theta_bundle,
-)
+from .witten import THETA2, CharacterElement, theta_bundle
 
 GAMMA0_LOWER = "Gamma_0(2)"
 GAMMA0_UPPER = "Gamma^0(2)"
@@ -146,16 +142,19 @@ def modular_basis(weight: int, order2: int) -> list:
 
     e = weight//2; these span the weight-`weight` forms over the upper
     level-2 subgroup with the constant-term normalization used throughout.
+    Each (weight, order2) is built once; callers get a fresh list.
     """
+    return list(_modular_basis(weight, order2))
+
+
+@lru_cache(maxsize=None)
+def _modular_basis(weight: int, order2: int) -> tuple:
     if weight % 2 or weight < 2:
         raise ValueError("weight must be a positive even integer")
     e = weight // 2
     d8 = delta_epsilon("delta2", order2).series * 8
     eps = delta_epsilon("eps2", order2).series
-    out = []
-    for r in range(weight // 4 + 1):
-        out.append(d8 ** (e - 2 * r) * (eps**r))
-    return out
+    return tuple(d8 ** (e - 2 * r) * (eps**r) for r in range(weight // 4 + 1))
 
 
 def _triangular_solve(f: HalfQSeries, weight: int):
@@ -256,12 +255,7 @@ def decomposition_case(m: int, fiber_dim: int) -> str:
     raise ValueError(f"fiber dimension {fiber_dim} is not in a class handled at m={m}")
 
 
-def decompose_theta2(
-    m: int,
-    profile: RootProfile,
-    order2: int | None = None,
-    theta: ThetaBundleSeries | None = None,
-) -> list:
+def decompose_theta2(m: int, profile: RootProfile, order2: int | None = None) -> list:
     """Solve Theta_2 = sum_r x_r (8 delta_2)^(e-2r) eps_2^r mod q^((m+1)/2).
 
     Returns the virtual characters labeled b_0..b_m (e = 2m+1) or z_0..z_m
@@ -273,9 +267,7 @@ def decompose_theta2(
     weight = 4 * m + 2 if case == "b" else 4 * m
     if order2 is None:
         order2 = m + 3
-    if theta is None:
-        theta = build_theta_bundle(THETA2, profile, order2)
-    f = theta.form_series().truncate(order2)
+    f = theta_bundle(THETA2, profile, order2).form_series()
     xs, basis, _ = _triangular_solve(f, weight)
     combination_matrix(weight)  # raises unless the solve is integral
     # matched-window residual must vanish exactly

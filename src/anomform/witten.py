@@ -9,7 +9,9 @@ bundles are the q^(1/2)-series tensor products
 
 built factor by factor from exterior-power characters.  The exterior powers
 themselves come from Newton's identities applied to the root-exponential
-power sums, so no root monomials are ever expanded.
+power sums, so no root monomials are ever expanded.  `theta_bundle` is the
+memoised entry point every caller uses: one build per (kind, profile) and
+process, truncated for smaller requests; `build_theta_bundle` always builds.
 """
 
 from __future__ import annotations
@@ -302,6 +304,24 @@ def build_theta_bundle(kind: str, profile: RootProfile, order2: int) -> ThetaBun
         lambda g: CharacterElement.from_graded(g), CharacterRing(profile)
     )
     return ThetaBundleSeries(kind, profile, characters)
+
+
+_THETA_MEMO: dict = {}
+
+
+def theta_bundle(kind: str, profile: RootProfile, order2: int) -> ThetaBundleSeries:
+    """build_theta_bundle, built once per (kind, profile) and truncated on reuse.
+
+    A request above the stored order rebuilds at that order and replaces the
+    stored bundle; the result always has exactly the requested order2.
+    """
+    held = _THETA_MEMO.get((kind, profile))
+    if held is None or held.series.order2 < order2:
+        held = _THETA_MEMO[kind, profile] = build_theta_bundle(kind, profile, order2)
+    return held if held.series.order2 == order2 else held.truncate(order2)
+
+
+theta_bundle.cache_clear = _THETA_MEMO.clear
 
 
 def extract_fourier(theta: ThetaBundleSeries, exp2: int) -> CharacterElement:

@@ -166,7 +166,7 @@ def test_criterion_8_numeric_transformation_laws():
         assert report.passed, report.residuals
 
 
-def test_criterion_9_property_suites(tmp_path, capsys):
+def test_criterion_9_property_suites(capsys, clear_memos):
     with criterion(9, "ring axioms, duality, Newton roundtrip, determinism", 30.0):
         # q-series ring axioms on random sparse series
         rng = random.Random(99001)
@@ -220,9 +220,10 @@ def test_criterion_9_property_suites(tmp_path, capsys):
             oracle = sum(acc) * (f[0] if profile.has_zero_root else 1)
             assert got == oracle
 
-        # determinism and cache byte-equality through the CLI
-        cache = tmp_path / "cache"
-        argv = ["verify", "main", "--dim", "6", "--cache-dir", str(cache)]
+        # determinism and memo byte-equality through the CLI: the warm run
+        # reads what the cold run memoised
+        clear_memos()
+        argv = ["verify", "main", "--dim", "6"]
         assert cli_main(argv) == 0
         cold = capsys.readouterr().out
         assert cli_main(argv) == 0

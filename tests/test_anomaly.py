@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from anomform import anomaly
 from anomform.anomaly import (
     CASE_CONSTANTS,
     COROLLARY_DIMENSIONS,
@@ -29,6 +30,7 @@ from anomform.witten import chern_character
 
 B_DIMS = (1, 2, 3, 9, 10, 11, 17, 18, 19)
 Z_DIMS = (5, 6, 7, 13, 14, 15)
+LARGE_M_DIMS = (25, 26, 27, 29, 30, 31)  # b-class at m = 3, z-class at m = 4
 
 
 def p(profile, i, coeff=1):
@@ -93,6 +95,27 @@ def test_decomposition_guard_against_window_fitting(dim):
     assert raised.residuals == []
 
 
+@pytest.mark.parametrize("dim", LARGE_M_DIMS)
+def test_decomposition_identity_large_m(dim):
+    report = verify_decomposition_identity(dim)
+    assert report.status == "pass"
+    assert report.residuals == []
+
+
+@pytest.mark.parametrize("dim", (10, 13))
+def test_dropped_last_term_fails_both_identities(dim, monkeypatch):
+    # negative control: a bundle decomposition one term short
+    case, m, _ = identity_parameters(dim)
+    original = anomaly.decompose_theta2
+    monkeypatch.setattr(anomaly, "decompose_theta2", lambda *a: original(*a)[:-1])
+    report = verify_decomposition_identity(dim)
+    assert report.status == "fail"
+    assert report.residuals == [
+        {"r": m, "error": f"{case}_{m} is missing from the decomposition"}
+    ]
+    assert verify_main_identity(dim).status == "fail"
+
+
 # -- main identity ------------------------------------------------------------------
 
 
@@ -105,6 +128,15 @@ def test_main_identity_full_angle_matches_expected_constant(dim):
     case, m, _ = identity_parameters(dim)
     assert report.status == "pass"
     assert report.residuals == []
+    assert report.lambda_measured == CASE_CONSTANTS[case] * 2 ** (6 * m)
+    assert report.paper_ratio == 1
+
+
+@pytest.mark.parametrize("dim", LARGE_M_DIMS)
+def test_main_identity_large_m_matches_expected_constant(dim):
+    report = verify_main_identity(dim, "full")
+    case, m, _ = identity_parameters(dim)
+    assert report.status == "pass"
     assert report.lambda_measured == CASE_CONSTANTS[case] * 2 ** (6 * m)
     assert report.paper_ratio == 1
 

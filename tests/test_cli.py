@@ -1,7 +1,9 @@
-"""CLI surface: subcommands, exit codes, determinism, caching."""
+"""CLI surface: subcommands, exit codes, determinism, memo transparency,
+and the rejection of the removed --jobs / --cache-dir options."""
 
 import json
 
+import pytest
 
 from anomform.cli import main
 
@@ -156,25 +158,27 @@ def test_determinism_byte_identical(capsys):
     assert first == second
 
 
-def test_jobs_fanout_matches_serial(capsys):
-    # the envelope echoes the jobs setting; the results must be identical
-    _, serial, _ = run(capsys, "verify", "decomposition", "--jobs", "1", "--allow-degenerate")
-    _, parallel, _ = run(capsys, "verify", "decomposition", "--jobs", "4", "--allow-degenerate")
-    assert json.loads(serial)["results"] == json.loads(parallel)["results"]
-
-
-def test_cache_transparency(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    args = ("decompose", "--m", "1", "--dim", "10", "--cache-dir", str(cache))
+def test_cache_transparency(clear_memos, capsys):
+    # the first run builds the bundle, the second reads it from the memo
+    args = ("decompose", "--m", "1", "--dim", "10")
     _, cold, _ = run(capsys, *args)
-    assert list(cache.glob("*.json")), "cache should be populated"
     _, warm, _ = run(capsys, *args)
     assert cold == warm
-    # and identical to an uncached run
-    _, plain, _ = run(capsys, "decompose", "--m", "1", "--dim", "10")
-    json_cold = json.loads(cold)
-    json_plain = json.loads(plain)
-    assert json_cold["results"] == json_plain["results"]
+
+
+@pytest.mark.parametrize("flag", (("--jobs", "2"), ("--cache-dir", "X")))
+def test_removed_flags_exit_2(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "agw", "--dim", "2", *flag])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("key", ("jobs", "cache_dir"))
+def test_removed_config_keys_exit_2(tmp_path, capsys, key):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key}=1\n")
+    code, _, err = run(capsys, "verify", "agw", "--dim", "2", "--config", str(config))
+    assert code == 2 and "unknown config key" in err
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):

@@ -41,12 +41,9 @@ from .modforms import (
 from .qseries import QQ, HalfQSeries, RingMismatchError, TruncationError
 from .thetanum import NumericCheckReport, check_transformation, theta_eval
 from .witten import (
-    CharacterElement,
-    CharacterRing,
     ThetaBundleSeries,
     build_theta_bundle,
     chern_character,
-    extract_fourier,
     lambda_t_character,
     s_t_character,
 )
@@ -55,8 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "COROLLARY_DIMENSIONS",
-    "CharacterElement",
-    "CharacterRing",
     "CorollaryVector",
     "GradedClass",
     "GradedRing",
@@ -79,7 +74,6 @@ __all__ = [
     "decompose_theta2",
     "delta_epsilon",
     "eval_at_roots",
-    "extract_fourier",
     "identity_parameters",
     "identity_profile",
     "l_class",

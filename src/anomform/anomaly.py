@@ -37,7 +37,6 @@ from .qseries import QQ, HalfQSeries
 from .witten import (
     THETA1,
     THETA2,
-    CharacterElement,
     chern_character,
     default_theta_order2,
     theta_bundle,
@@ -239,7 +238,7 @@ def p_form(
         else:
             prefactor = l_class(profile, normalize_l_variant(l_variant))
             theta = theta_bundle(THETA1, profile, order2)
-        return theta.form_series().map_coefficients(
+        return theta.series.map_coefficients(
             lambda ch: prefactor.mul_degree(ch, degree), ring
         )
     if route != ROUTE_THETA:
@@ -288,13 +287,13 @@ def verify_decomposition_identity(
     if status == "pass":
         # cross-check h_r against the bundle-level decomposition
         ahat = a_hat(profile)
-        brs = decompose_theta2(m, profile, order2)
+        brs = decompose_theta2(m, profile)
         for r in range(min(len(hs), len(brs)), max(len(hs), len(brs))):
             status = "fail"
             missing = f"{case}_{r}" if r >= len(brs) else f"h_{r}"
             residuals.append({"r": r, "error": f"{missing} is missing from the decomposition"})
         for r, (h, br) in enumerate(zip(hs, brs)):
-            expected = ahat.mul_degree(br.to_graded(), degree)
+            expected = ahat.mul_degree(br, degree)
             if h != expected:
                 status = "fail"
                 residuals.append(
@@ -334,7 +333,7 @@ def main_identity_sides(fiber_dim: int, l_variant: str = L_FULL):
     lhs = l_class(profile, normalize_l_variant(l_variant)).degree_component(degree)
     rhs = GradedClass.zero(profile)
     for r, br in enumerate(brs):
-        h = ahat.mul_degree(br.to_graded(), degree)
+        h = ahat.mul_degree(br, degree)
         rhs = rhs + h * Fraction(1, 64**r)
     return lhs, rhs
 
@@ -455,25 +454,26 @@ def corollary_coefficients(fiber_dim: int) -> CorollaryVector:
     profile = identity_profile(fiber_dim)
     brs = decompose_theta2(m, profile)
     overall = CASE_CONSTANTS[case]
-    combo = CharacterElement.zero(profile)
+    combo = GradedClass.zero(profile)
     for r, br in enumerate(brs):
         combo = combo + br * (overall * 2 ** (6 * m - 6 * r))
+    form = combo.positive_part()
     tc_form = chern_character(profile).positive_part()
     alpha = Fraction(0)
     if tc_form:
         ratios = set()
         for mon, c in tc_form.items():
-            ratios.add(combo.form.coefficient(mon) / c)
+            ratios.add(form.coefficient(mon) / c)
         if len(ratios) != 1:
             raise ArithmeticError(
                 "combination is not a multiple of ch(T_C Z) plus constants"
             )
         alpha = ratios.pop()
-        if combo.form != tc_form * alpha:
+        if form != tc_form * alpha:
             raise ArithmeticError("combination has extra form content")
-    elif combo.form:
+    elif form:
         raise ArithmeticError("combination has form content on a formless fiber")
-    beta = Fraction(combo.rank) - alpha * profile.fiber_dim
+    beta = combo.constant_term() - alpha * profile.fiber_dim
     return CorollaryVector(fiber_dim, (Fraction(1), -alpha, -beta))
 
 

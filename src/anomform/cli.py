@@ -26,8 +26,10 @@ from .anomaly import (
     identity_parameters,
     identity_profile,
 )
+from .chroot import GradedClass
 from .genera import normalize_l_variant
 from .modforms import decomposition_case
+from .qseries import _exp_str
 from .witten import THETA1, THETA2, theta_bundle
 
 REPORT_VERSION = 1
@@ -94,15 +96,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 raise UsageError(f"unknown config key {key!r}")
             attr, cast = _CONFIG_KEYS[key]
             setattr(config, attr, cast(raw))
-    for flag, attr in (
-        ("q_order", "q_order2"),
-        ("max_degree", "max_form_degree"),
-        ("tol", "tolerance"),
-        ("l_variant", "l_variant"),
-        ("format", "out_format"),
-        ("out", "out_path"),
-    ):
-        value = getattr(args, flag, None)
+    for key, (attr, _) in _CONFIG_KEYS.items():
+        value = getattr(args, key, None)
         if value is not None:
             setattr(config, attr, value)
     config.allow_degenerate = bool(getattr(args, "allow_degenerate", False))
@@ -115,6 +110,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 # -- command implementations ---------------------------------------------------
+
+
+def _character_obj(g: GradedClass, label: str) -> dict:
+    """A virtual character as {rank, form, label}; the rank is g's constant term."""
+    return {
+        "rank": int(g.constant_term()),
+        "form": g.positive_part().to_obj(),
+        "label": label,
+    }
 
 
 def cmd_expand(args: argparse.Namespace, config: RunConfig) -> tuple:
@@ -159,15 +163,14 @@ def cmd_expand(args: argparse.Namespace, config: RunConfig) -> tuple:
             bundle = theta_bundle(args.kind, profile, order2)
         except ValueError as err:
             raise UsageError(str(err))
+        prefix = "A" if args.kind == THETA1 else "B"
         results.append(
             {
                 "target": args.kind,
                 "fiber_dim": args.dim,
                 "q_order": order2,
                 "coefficients": [
-                    {"exp2": exp2, **coeff.relabel(
-                        f"{'A' if args.kind == THETA1 else 'B'}_{exp2}"
-                    ).to_obj()}
+                    {"exp2": exp2, **_character_obj(coeff, f"{prefix}_{exp2}")}
                     for exp2, coeff in bundle.series.items()
                 ],
             }
@@ -185,15 +188,16 @@ def cmd_decompose(args: argparse.Namespace, config: RunConfig) -> tuple:
     except ValueError as err:
         raise UsageError(str(err))
     profile = identity_profile(args.dim, config.max_form_degree)
-    order2 = config.q_order2 if config.q_order2 is not None else args.m + 3
-    if order2 < args.m + 3:
+    # the solve reads only q^0..q^(m/2); --q-order is checked and echoed
+    order2 = config.q_order2
+    if order2 is not None and order2 < args.m + 3:
         raise UsageError(
             f"q-order {order2} below m+3 = {args.m + 3} (matched window plus guards)"
         )
-    elements = modforms.decompose_theta2(args.m, profile, order2)
+    xs = modforms.decompose_theta2(args.m, profile)
     results = [
-        {"case": case, "m": args.m, "fiber_dim": args.dim, **el.to_obj()}
-        for el in elements
+        {"case": case, "m": args.m, "fiber_dim": args.dim, **_character_obj(x, f"{case}_{r}")}
+        for r, x in enumerate(xs)
     ]
     return results, 0
 
@@ -308,7 +312,7 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> tuple:
                 continue
             add(
                 ("corollary", dim, 0, ""),
-                lambda d=dim: _corollary_report(d),
+                lambda d=dim: anomaly.corollary_coefficients(d),
             )
     if suite in ("routes", "all"):
         route_dims = dims or (2, 3, 9, 10, 11, 5, 6, 7)
@@ -336,10 +340,6 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> tuple:
         else:
             results.append(obj.to_obj())
     return results, _exit_code(results, config.allow_degenerate)
-
-
-def _corollary_report(dim: int) -> "anomaly.CorollaryVector":
-    return anomaly.corollary_coefficients(dim)
 
 
 def _exit_code(results: list, allow_degenerate: bool) -> int:
@@ -376,14 +376,6 @@ def render_envelope(results: list, config: RunConfig) -> str:
     return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
 
 
-def _exp2_str(exp2: int) -> str:
-    if exp2 == 0:
-        return "1"
-    if exp2 == 2:
-        return "q"
-    return f"q^{exp2 // 2}" if exp2 % 2 == 0 else f"q^({exp2}/2)"
-
-
 def _series_str(series_obj: list) -> str:
     if not series_obj:
         return "0"
@@ -393,24 +385,19 @@ def _series_str(series_obj: list) -> str:
         if exp2 == 0:
             parts.append(str(coef))
         elif coef == "1":
-            parts.append(_exp2_str(exp2))
+            parts.append(_exp_str(exp2))
         else:
-            parts.append(f"({coef})*{_exp2_str(exp2)}")
+            parts.append(f"({coef})*{_exp_str(exp2)}")
     return " + ".join(parts)
 
 
 def _form_str(form_obj: list) -> str:
+    """A character's positive-degree part: no constant term, so always (coef)*mon."""
     if not form_obj:
         return "0"
-    parts = []
-    for term in form_obj:
-        mon = "*".join(
-            f"p{i + 1}" if a == 1 else f"p{i + 1}^{a}"
-            for i, a in enumerate(term["monomial"])
-            if a
-        )
-        parts.append(f"({term['coef']})*{mon}" if mon else str(term["coef"]))
-    return " + ".join(parts)
+    return " + ".join(
+        f"({term['coef']})*{GradedClass._mon_str(term['monomial'])}" for term in form_obj
+    )
 
 
 def render_table(results: list) -> str:

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .chroot import RootProfile
 from .qseries import QQ, HalfQSeries, TruncationError
-from .witten import THETA2, CharacterElement, theta_bundle
+from .witten import THETA2, theta_bundle
 
 GAMMA0_LOWER = "Gamma_0(2)"
 GAMMA0_UPPER = "Gamma^0(2)"
@@ -255,19 +255,21 @@ def decomposition_case(m: int, fiber_dim: int) -> str:
     raise ValueError(f"fiber dimension {fiber_dim} is not in a class handled at m={m}")
 
 
-def decompose_theta2(m: int, profile: RootProfile, order2: int | None = None) -> list:
+@lru_cache(maxsize=None)
+def decompose_theta2(m: int, profile: RootProfile) -> tuple:
     """Solve Theta_2 = sum_r x_r (8 delta_2)^(e-2r) eps_2^r mod q^((m+1)/2).
 
-    Returns the virtual characters labeled b_0..b_m (e = 2m+1) or z_0..z_m
-    (e = 2m) depending on the fiber-dimension class.  The matched-window
-    residual must vanish identically and the solve's combination matrix must
-    be integral; either failure raises ArithmeticError.
+    Returns the virtual characters x_0..x_m as GradedClass values (constant
+    term = virtual rank): b_0..b_m (e = 2m+1) or z_0..z_m (e = 2m) depending
+    on the fiber-dimension class.  Only q^0..q^(m/2) of Theta_2 enter, so the
+    result is solved once per (m, profile) from a bundle of order2 m+1.  The
+    matched-window residual must vanish identically and the solve's
+    combination matrix must be integral (so are the x_r); either failure
+    raises ArithmeticError.
     """
     case = decomposition_case(m, profile.fiber_dim)
     weight = 4 * m + 2 if case == "b" else 4 * m
-    if order2 is None:
-        order2 = m + 3
-    f = theta_bundle(THETA2, profile, order2).form_series()
+    f = theta_bundle(THETA2, profile, m + 1).series
     xs, basis, _ = _triangular_solve(f, weight)
     combination_matrix(weight)  # raises unless the solve is integral
     # matched-window residual must vanish exactly
@@ -277,7 +279,4 @@ def decompose_theta2(m: int, profile: RootProfile, order2: int | None = None) ->
     for s in range(m + 1):
         if f.coefficient(s) != recon.coefficient(s):
             raise ArithmeticError("matched window residual")
-    prefix = case
-    return [
-        CharacterElement.from_graded(x, f"{prefix}_{r}") for r, x in enumerate(xs)
-    ]
+    return tuple(xs)

@@ -6,9 +6,9 @@ carries an exclusive truncation bound ``order2`` in the same units: terms
 with exp2 >= order2 are unknown, not zero.
 
 Coefficients come from a pluggable commutative ring.  The rationals are
-provided here (``QQ``); the graded characteristic-class ring and the
-virtual-character ring plug in the same small protocol (``zero``, ``one``,
-``coerce``, ``invert``) from their own modules.  No floating point is used
+provided here (``QQ``); the graded characteristic-class ring, which also
+carries the virtual characters, plugs in the same small protocol (``zero``,
+``one``, ``coerce``, ``invert``) from its own module.  No floating point is used
 anywhere in this module.
 """
 

@@ -1,8 +1,9 @@
 """Virtual-bundle Chern characters and the level-2 Witten bundle expansions.
 
-Virtual bundles are carried purely as (integer virtual rank, Chern character
-form part): every identity downstream consumes nothing else.  The two theta
-bundles are the q^(1/2)-series tensor products
+A virtual bundle is carried as its Chern character alone: a GradedClass
+whose constant term is the integer virtual rank.  Every identity downstream
+consumes nothing else, and labels are attached only at output.  The two
+theta bundles are the q^(1/2)-series tensor products
 
     Theta_1 = prod_n S_{q^n}(reduced T_C Z) . prod_m Lambda_{q^m}(reduced T_C Z)
     Theta_2 = prod_n S_{q^n}(reduced T_C Z) . prod_m Lambda_{-q^(m-1/2)}(reduced T_C Z)
@@ -29,156 +30,6 @@ from .chroot import (
     sum_over_roots,
 )
 from .qseries import QQ, HalfQSeries
-
-
-class CharacterElement:
-    """Chern character of a virtual bundle: integer rank + positive-degree form."""
-
-    __slots__ = ("rank", "form", "label")
-
-    def __init__(self, rank: int, form: GradedClass, label: str | None = None):
-        if form.constant_term():
-            raise ValueError("form part must have zero degree-0 component")
-        self.rank = int(rank)
-        self.form = form
-        self.label = label
-
-    @classmethod
-    def from_graded(cls, g: GradedClass, label: str | None = None) -> "CharacterElement":
-        c0 = g.constant_term()
-        if c0.denominator != 1:
-            raise ValueError(f"virtual rank {c0} is not an integer")
-        return cls(int(c0), g.positive_part(), label)
-
-    @classmethod
-    def zero(cls, profile: RootProfile) -> "CharacterElement":
-        return cls(0, GradedClass.zero(profile))
-
-    @classmethod
-    def one(cls, profile: RootProfile) -> "CharacterElement":
-        return cls(1, GradedClass.zero(profile))
-
-    def to_graded(self) -> GradedClass:
-        return self.form + GradedClass.constant(self.form.profile, self.rank)
-
-    @property
-    def profile(self) -> RootProfile:
-        return self.form.profile
-
-    def relabel(self, label: str | None) -> "CharacterElement":
-        return CharacterElement(self.rank, self.form, label)
-
-    def __bool__(self) -> bool:
-        return bool(self.rank) or bool(self.form)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CharacterElement):
-            return NotImplemented
-        return self.rank == other.rank and self.form == other.form
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = CharacterElement(other, GradedClass.zero(self.profile))
-        return CharacterElement(self.rank + other.rank, self.form + other.form)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CharacterElement(-self.rank, -self.form)
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = CharacterElement(other, GradedClass.zero(self.profile))
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, CharacterElement):
-            # tensor product: full product of (rank + form) characters
-            form = (
-                self.form * other.rank
-                + other.form * self.rank
-                + self.form * other.form
-            )
-            return CharacterElement(self.rank * other.rank, form)
-        scalar = Fraction(other)
-        rank = scalar * self.rank
-        if rank.denominator != 1:
-            raise ValueError("scalar multiple breaks rank integrality")
-        return CharacterElement(int(rank), self.form * scalar)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def inverse(self) -> "CharacterElement":
-        return CharacterElement.from_graded(self.to_graded().inverse())
-
-    def __repr__(self) -> str:
-        name = f"{self.label}: " if self.label else ""
-        return f"<{name}rank {self.rank}, ch+ = {self.form!r}>"
-
-    def to_obj(self) -> dict:
-        obj = {"rank": self.rank, "form": self.form.to_obj()}
-        if self.label is not None:
-            obj["label"] = self.label
-        return obj
-
-    @classmethod
-    def from_obj(cls, profile: RootProfile, obj: dict) -> "CharacterElement":
-        return cls(
-            obj["rank"], GradedClass.from_obj(profile, obj["form"]), obj.get("label")
-        )
-
-
-class CharacterRing:
-    """Coefficient-ring adapter for HalfQSeries over CharacterElement."""
-
-    def __init__(self, profile: RootProfile):
-        self.profile = profile
-
-    @property
-    def zero(self) -> CharacterElement:
-        return CharacterElement.zero(self.profile)
-
-    @property
-    def one(self) -> CharacterElement:
-        return CharacterElement.one(self.profile)
-
-    def coerce(self, value) -> CharacterElement:
-        if isinstance(value, CharacterElement):
-            if value.profile != self.profile:
-                raise ValueError("character has a different root profile")
-            return value
-        if isinstance(value, GradedClass):
-            return CharacterElement.from_graded(self.coerce_graded(value))
-        return CharacterElement(int(value), GradedClass.zero(self.profile))
-
-    def coerce_graded(self, value: GradedClass) -> GradedClass:
-        if value.profile != self.profile:
-            raise ValueError("graded class has a different root profile")
-        return value
-
-    def invert(self, value: CharacterElement) -> CharacterElement:
-        return value.inverse()
-
-    def coeff_to_obj(self, value: CharacterElement) -> dict:
-        return value.to_obj()
-
-    def coeff_from_obj(self, obj) -> CharacterElement:
-        return CharacterElement.from_obj(self.profile, obj)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CharacterRing) and self.profile == other.profile
-
-    def __hash__(self) -> int:
-        return hash(("CharacterRing", self.profile))
-
-    def __repr__(self) -> str:
-        return f"CharacterRing({self.profile.fiber_dim})"
 
 
 def chern_character(profile: RootProfile, power: int = 1) -> GradedClass:
@@ -248,31 +99,25 @@ THETA2 = "theta2"
 
 @dataclass(frozen=True)
 class ThetaBundleSeries:
-    """A Witten bundle expansion: q^(1/2)-series of virtual characters."""
+    """A Witten bundle expansion: q^(1/2)-series of virtual characters.
+
+    Coefficients are GradedClass values over GradedRing(profile); each
+    constant term is the integer virtual rank of that q-coefficient.
+    """
 
     kind: str
     profile: RootProfile
-    series: HalfQSeries  # CharacterElement coefficients
+    series: HalfQSeries
 
     def __post_init__(self):
-        one = CharacterElement.one(self.profile)
-        if self.series.coefficient(0) != one:
+        if self.series.coefficient(0) != GradedClass.one(self.profile):
             raise ValueError("theta bundle must start with the trivial line at q^0")
-        if self.kind == THETA1:
-            for exp2, _ in self.series.items():
-                if exp2 % 2:
-                    raise ValueError("Theta_1 is supported on integer q-powers")
-
-    def fourier(self, exp2: int) -> CharacterElement:
-        """The coefficient A_j (Theta_1) or B_j (Theta_2) at q^(exp2/2)."""
-        prefix = "A" if self.kind == THETA1 else "B"
-        return self.series.coefficient(exp2).relabel(f"{prefix}_{exp2}")
-
-    def form_series(self) -> HalfQSeries:
-        """Same series with GradedClass coefficients (rank folded in)."""
-        return self.series.map_coefficients(
-            lambda c: c.to_graded(), GradedRing(self.profile)
-        )
+        for exp2, coeff in self.series.items():
+            if self.kind == THETA1 and exp2 % 2:
+                raise ValueError("Theta_1 is supported on integer q-powers")
+            rank = coeff.constant_term()
+            if rank.denominator != 1:
+                raise ValueError(f"virtual rank {rank} is not an integer")
 
     def truncate(self, order2: int) -> "ThetaBundleSeries":
         return ThetaBundleSeries(self.kind, self.profile, self.series.truncate(order2))
@@ -300,10 +145,7 @@ def build_theta_bundle(kind: str, profile: RootProfile, order2: int) -> ThetaBun
             if exp2 >= order2:
                 break
             series = series * lambda_t_character(profile, -1, exp2, order2)
-    characters = series.map_coefficients(
-        lambda g: CharacterElement.from_graded(g), CharacterRing(profile)
-    )
-    return ThetaBundleSeries(kind, profile, characters)
+    return ThetaBundleSeries(kind, profile, series)
 
 
 _THETA_MEMO: dict = {}
@@ -322,7 +164,3 @@ def theta_bundle(kind: str, profile: RootProfile, order2: int) -> ThetaBundleSer
 
 
 theta_bundle.cache_clear = _THETA_MEMO.clear
-
-
-def extract_fourier(theta: ThetaBundleSeries, exp2: int) -> CharacterElement:
-    return theta.fourier(exp2)

@@ -8,6 +8,7 @@ from anomform import anomaly, genera, modforms, witten
 _MEMOS = (
     witten.theta_bundle,
     modforms._modular_basis,
+    modforms.decompose_theta2,
     genera.a_hat,
     genera.l_class,
     anomaly.theta_quotient_pair_series,

@@ -22,7 +22,7 @@ from anomform.anomaly import (
     verify_main_identity,
     verify_route_equivalence,
 )
-from anomform.chroot import RootProfile, eval_at_roots, product_over_roots
+from anomform.chroot import GradedClass, RootProfile, eval_at_roots, product_over_roots
 from anomform.cli import main as cli_main
 from anomform.modforms import delta_epsilon
 from anomform.qseries import QQ, HalfQSeries
@@ -71,16 +71,16 @@ def test_criterion_2_decomposition_closed_forms():
             _, m, degree = identity_parameters(dim)
             profile = RootProfile(dim, degree)
             elements = decompose_theta2(m, profile)
-            assert elements[0].rank == -1 and not elements[0].form
+            assert elements[0] == GradedClass.constant(profile, -1)
             if m >= 1:
                 expected = chern_character(profile) + (24 * (2 * m + 1) - dim)
-                assert elements[1].to_graded() == expected
+                assert elements[1] == expected
         for dim in Z_DIMS:
             _, m, degree = identity_parameters(dim)
             profile = RootProfile(dim, degree)
             elements = decompose_theta2(m, profile)
-            assert elements[0].rank == 1 and not elements[0].form
-            assert elements[1].to_graded() == -chern_character(profile) - (48 * m - dim)
+            assert elements[0] == GradedClass.constant(profile, 1)
+            assert elements[1] == -chern_character(profile) - (48 * m - dim)
 
 
 def test_criterion_3_main_identity_sweep():

@@ -1,10 +1,12 @@
 """CLI surface: subcommands, exit codes, determinism, memo transparency,
-and the rejection of the removed --jobs / --cache-dir options."""
+labels and table rendering of virtual characters, the rejection of the
+removed --jobs / --cache-dir options, and the package's exported names."""
 
 import json
 
 import pytest
 
+import anomform
 from anomform.cli import main
 
 
@@ -52,14 +54,19 @@ def test_expand_theta1_fourth_power(capsys):
     assert series[0] == {"exp2": 1, "coef": "16"}
 
 
-def test_expand_theta_bundle_listing(capsys):
+@pytest.mark.parametrize("kind", ("theta1", "theta2"))
+def test_expand_theta_bundle_listing(capsys, kind):
     code, out, _ = run(
-        capsys, "expand", "theta-bundle", "--kind", "theta2", "--dim", "10", "--q-order", "5"
+        capsys, "expand", "theta-bundle", "--kind", kind, "--dim", "10", "--q-order", "5"
     )
     assert code == 0
-    entry = results_of(out)[0]
-    labels = [c["label"] for c in entry["coefficients"]]
-    assert labels[0] == "B_0" and "B_1" in labels
+    coefficients = results_of(out)[0]["coefficients"]
+    labels = [c["label"] for c in coefficients]
+    if kind == "theta2":
+        assert labels[0] == "B_0" and "B_1" in labels
+    else:
+        assert labels[0] == "A_0" and "A_2" in labels
+        assert all(c["exp2"] % 2 == 0 for c in coefficients)
 
 
 def test_expand_theta_bundle_off_class_dim_needs_max_degree(capsys):
@@ -89,6 +96,30 @@ def test_decompose_z_case(capsys):
     assert entries[0]["label"] == "z_0" and entries[0]["rank"] == 1
     # z_1 = -T_C Z - 42 C at dim 6, so the virtual rank is -6 - 42
     assert entries[1]["label"] == "z_1" and entries[1]["rank"] == -48
+
+
+def test_decompose_results_do_not_depend_on_q_order(clear_memos, capsys):
+    # the solve reads only q^0..q^(m/2) of Theta_2
+    texts = []
+    for order in ("4", "9"):
+        clear_memos()
+        code, out, _ = run(capsys, "decompose", "--m", "1", "--dim", "10", "--q-order", order)
+        assert code == 0
+        texts.append(json.dumps(results_of(out), indent=2, sort_keys=True))
+    assert texts[0] == texts[1]
+
+
+def test_decompose_table_and_report_rerender(tmp_path, capsys):
+    expected = (
+        "z_0: rank=1 ch+ = 0\n"
+        "z_1: rank=-48 ch+ = (-1)*p1 + (1/6)*p2 + (-1/12)*p1^2\n"
+    )
+    code, out, _ = run(capsys, "decompose", "--m", "1", "--dim", "6", "--format", "table")
+    assert code == 0 and out == expected
+    path = tmp_path / "z.json"
+    assert run(capsys, "decompose", "--m", "1", "--dim", "6", "--out", str(path))[0] == 0
+    code, out, _ = run(capsys, "report", "--in", str(path), "--format", "table")
+    assert code == 0 and out == expected
 
 
 def test_decompose_class_mismatch_exits_2(capsys):
@@ -230,3 +261,9 @@ def test_out_file_written(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(path.read_text())["results"][0]["weight"] == 2
+
+
+def test_every_exported_name_resolves():
+    # a deleted export must leave `from anomform import *` working
+    for name in anomform.__all__:
+        assert hasattr(anomform, name), name

@@ -1,10 +1,10 @@
-"""In-process memos: fresh-build values, bounded builds, no caller mutates them."""
+"""In-process memos: fresh-build values, bounded builds and solves, no caller mutates them."""
 
 from collections import Counter
 
 import pytest
 
-from anomform import cli, witten
+from anomform import cli, modforms, witten
 from anomform.anomaly import identity_profile
 from anomform.witten import THETA1, THETA2, build_theta_bundle, theta_bundle
 
@@ -40,6 +40,13 @@ def test_verify_all_builds_each_bundle_at_most_twice(clear_memos, monkeypatch, t
     argv = ["verify", "all", "--allow-degenerate", "--out", str(tmp_path / "report.json")]
     assert cli.main(argv) == 0
     assert builds and max(builds.values()) <= 2
+
+
+def test_verify_all_solves_each_decomposition_once(clear_memos, tmp_path):
+    argv = ["verify", "all", "--allow-degenerate", "--out", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 0
+    # decomposition, main and corollary checks share one solve per profile
+    assert modforms.decompose_theta2.cache_info().misses == len(cli.SWEEP_DIMENSIONS)
 
 
 def test_second_verify_all_is_byte_identical(clear_memos, tmp_path):

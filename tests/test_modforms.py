@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from anomform.chroot import RootProfile
+from anomform.chroot import GradedClass, RootProfile
 from anomform.modforms import (
     GAMMA0_LOWER,
     GAMMA0_UPPER,
@@ -176,23 +176,21 @@ def test_case_selection():
 def test_b_closed_forms(m, dim):
     profile = RootProfile(dim, 8 * m + 4)
     elements = decompose_theta2(m, profile)
-    assert elements[0].rank == -1 and not elements[0].form
-    assert elements[0].label == "b_0"
+    assert len(elements) == m + 1
+    assert elements[0] == GradedClass.constant(profile, -1)
     if m >= 1:
         expected = chern_character(profile) + (24 * (2 * m + 1) - dim)
-        assert elements[1].to_graded() == expected
-        assert elements[1].label == "b_1"
+        assert elements[1] == expected
 
 
 @pytest.mark.parametrize("m,dim", [(1, 5), (1, 6), (1, 7), (2, 13), (2, 14), (2, 15)])
 def test_z_closed_forms(m, dim):
     profile = RootProfile(dim, 8 * m)
     elements = decompose_theta2(m, profile)
-    assert elements[0].rank == 1 and not elements[0].form
-    assert elements[0].label == "z_0"
+    assert len(elements) == m + 1
+    assert elements[0] == GradedClass.constant(profile, 1)
     expected = -chern_character(profile) - (48 * m - dim)
-    assert elements[1].to_graded() == expected
-    assert elements[1].label == "z_1"
+    assert elements[1] == expected
 
 
 def test_combination_matrix_is_integral_and_reconstructs():
@@ -205,14 +203,14 @@ def test_combination_matrix_is_integral_and_reconstructs():
                 assert isinstance(entry, int)
         profile = RootProfile(dim, 8)
         theta = build_theta_bundle(THETA2, profile, m + 3)
-        series = theta.form_series()
+        series = theta.series
         elements = decompose_theta2(m, profile)
         for r, el in enumerate(elements):
             combo = sum(
                 (series.coefficient(j) * matrix[r][j] for j in range(r + 1)),
                 start=series.ring.zero,
             )
-            assert el.to_graded() == combo
+            assert el == combo
 
 
 def test_decompose_rejects_m_zero_z_case():
@@ -231,7 +229,7 @@ def test_b2_cross_checked_by_numeric_resolve():
     profile = RootProfile(dim, 20)
     elements = decompose_theta2(m, profile)
     theta = build_theta_bundle(THETA2, profile, m + 3)
-    series = theta.form_series()
+    series = theta.series
     basis = modular_basis(4 * m + 2, m + 3)
     matrix = [[basis[r].coefficient(s) for r in range(m + 1)] for s in range(m + 1)]
     rng = random.Random(31415)
@@ -247,7 +245,7 @@ def test_b2_cross_checked_by_numeric_resolve():
                 acc -= matrix[s][r] * solved[r]
             solved.append(acc / matrix[s][s])
         for r, el in enumerate(elements):
-            assert solved[r] == eval_at_roots(el.to_graded(), values)
+            assert solved[r] == eval_at_roots(el, values)
 
 
 # A basis whose leading monomial is doubled breaks the unit diagonal.  The

@@ -1,4 +1,7 @@
-"""Virtual character algebra and the theta bundle expansions."""
+"""Exterior/symmetric power characters and the theta bundle expansions.
+
+Bundle coefficients are GradedClass values whose constant term is the
+integer virtual rank; labels are attached only by the CLI."""
 
 from fractions import Fraction
 
@@ -9,11 +12,9 @@ from anomform.qseries import HalfQSeries, TruncationError
 from anomform.witten import (
     THETA1,
     THETA2,
-    CharacterElement,
-    CharacterRing,
+    ThetaBundleSeries,
     build_theta_bundle,
     chern_character,
-    extract_fourier,
     exterior_power_characters,
     lambda_t_character,
     s_t_character,
@@ -93,20 +94,19 @@ def test_lambda_s_duality():
 def test_theta2_fourier_coefficients():
     profile = RootProfile(10, 12)
     theta = build_theta_bundle(THETA2, profile, 6)
-    b0 = extract_fourier(theta, 0)
-    assert b0.rank == 1 and not b0.form and b0.label == "B_0"
-    b1 = extract_fourier(theta, 1)
-    assert b1.to_graded() == -(chern_character(profile) - 10)
-    assert b1.rank == 0
+    b0 = theta.series.coefficient(0)
+    assert b0 == GradedClass.one(profile)
+    b1 = theta.series.coefficient(1)
+    assert b1 == -(chern_character(profile) - 10)
+    assert b1.constant_term() == 0
 
 
 def test_theta1_no_half_powers_and_q1_coefficient():
     profile = RootProfile(10, 12)
     theta = build_theta_bundle(THETA1, profile, 6)
-    assert not extract_fourier(theta, 1)
-    q1 = extract_fourier(theta, 2)
-    assert q1.to_graded() == (chern_character(profile) - 10) * 2
-    assert q1.label == "A_2"
+    assert not theta.series.coefficient(1)
+    q1 = theta.series.coefficient(2)
+    assert q1 == (chern_character(profile) - 10) * 2
 
 
 def test_theta_consistency_under_truncation():
@@ -120,7 +120,7 @@ def test_fourier_beyond_truncation():
     profile = RootProfile(6, 8)
     theta = build_theta_bundle(THETA2, profile, 4)
     with pytest.raises(TruncationError):
-        extract_fourier(theta, 4)
+        theta.series.coefficient(4)
 
 
 def test_rank_bookkeeping_matches_scalar_generating_function():
@@ -131,42 +131,21 @@ def test_rank_bookkeeping_matches_scalar_generating_function():
         theta = build_theta_bundle(kind, profile, 7)
         for exp2 in range(7):
             expected = 1 if exp2 == 0 else 0
-            assert theta.series.coefficient(exp2).rank == expected
-
-
-def test_character_element_ring_ops():
-    profile = RootProfile(4, 8)
-    tc = CharacterElement.from_graded(chern_character(profile), "T_C Z")
-    one = CharacterElement.one(profile)
-    assert (tc - tc).rank == 0 and not (tc - tc).form
-    assert (tc * one) == tc
-    sq = tc * tc
-    assert sq.rank == 16
-    assert sq.to_graded() == chern_character(profile) * chern_character(profile)
-    assert (tc * 3).rank == 12
-    with pytest.raises(ValueError, match="integrality"):
-        tc * Fraction(1, 3)
+            assert theta.series.coefficient(exp2).constant_term() == expected
 
 
 def test_character_rank_must_be_integer():
     profile = RootProfile(2, 4)
-    with pytest.raises(ValueError, match="integer"):
-        CharacterElement.from_graded(GradedClass.constant(profile, Fraction(1, 2)))
-
-
-def test_character_serialization_roundtrip():
-    profile = RootProfile(4, 8)
-    ring = CharacterRing(profile)
-    tc = CharacterElement.from_graded(chern_character(profile), "T_C Z")
-    assert ring.coeff_from_obj(ring.coeff_to_obj(tc)) == tc
-    assert tc.to_obj()["label"] == "T_C Z"
+    ring = GradedRing(profile)
+    half = GradedClass.constant(profile, Fraction(1, 2))
+    bad = HalfQSeries.from_terms(ring, [(0, 1), (2, half)], 4)
+    with pytest.raises(ValueError, match="virtual rank 1/2 is not an integer"):
+        ThetaBundleSeries(THETA2, profile, bad)
 
 
 def test_theta_bundle_requires_trivial_leading_line():
     profile = RootProfile(2, 4)
-    ring = CharacterRing(profile)
-    bad = HalfQSeries.from_terms(ring, [(0, CharacterElement.zero(profile))], 4)
-    from anomform.witten import ThetaBundleSeries
-
+    ring = GradedRing(profile)
+    bad = HalfQSeries.from_terms(ring, [(0, GradedClass.zero(profile))], 4)
     with pytest.raises(ValueError, match="trivial line"):
         ThetaBundleSeries(THETA2, profile, bad)

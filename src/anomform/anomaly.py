@@ -87,10 +87,6 @@ class IdentityReport:
     lhs: list = field(default_factory=list)
     rhs: list = field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
     def to_obj(self) -> dict:
         return {
             "identity": self.identity,
@@ -105,6 +101,14 @@ class IdentityReport:
             "lhs": self.lhs,
             "rhs": self.rhs,
         }
+
+
+def _exact_report(identity, fiber_dim, m, l_variant, route, residuals, status, lhs):
+    """Report of an exact comparison: lambda = paper_ratio = 1 exactly when it passes."""
+    unit = Fraction(1) if status == "pass" else None
+    return IdentityReport(
+        identity, fiber_dim, m, l_variant, route, unit, unit, residuals, status, lhs
+    )
 
 
 @dataclass(frozen=True)
@@ -140,19 +144,11 @@ def _kind_parameters(kind: str, profile: RootProfile):
 # -- exact theta-quotient route ---------------------------------------------
 
 
-def _exp_xseries(c: int, order2: int, n_x: int) -> list:
-    """e^(c x) as an x-series with constant q-series coefficients."""
-    return [
-        HalfQSeries.from_terms(QQ, [(0, Fraction(c) ** i / factorial(i))], order2)
-        for i in range(n_x)
-    ]
-
-
 def _one_plus_exp_q(c: int, sign: int, exp2: int, order2: int, n_x: int) -> list:
     """1 + sign * e^(c x) * q^(exp2/2) as an x-series over q-series."""
     out = []
-    for i, coeff in enumerate(_exp_xseries(c, order2, n_x)):
-        base = [(exp2, sign * coeff.coefficient(0))]
+    for i in range(n_x):
+        base = [(exp2, sign * Fraction(c) ** i / factorial(i))]
         if i == 0:
             base.append((0, 1))
         out.append(HalfQSeries.from_terms(QQ, base, order2))
@@ -197,8 +193,6 @@ def theta_quotient_pair_series(
         series = xseries_mul(series, factor, n_x)
     # exterior-power factors at +-q^(h/2)
     for exp2, sign in lambda_factors:
-        if exp2 >= order2:
-            continue
         numer = xseries_mul(
             _one_plus_exp_q(c, sign, exp2, order2, n_x),
             _one_plus_exp_q(-c, sign, exp2, order2, n_x),
@@ -274,7 +268,7 @@ def verify_decomposition_identity(
         order2 = default_theta_order2(m)
     kind = P2 if case == "b" else Q2
     identity = "eq3.12" if case == "b" else "eq3.33"
-    weight = 4 * m + 2 if case == "b" else 4 * m
+    weight = degree // 2
     series = p_form(kind, profile, ROUTE_KTHEORY, order2=order2)
     residuals = []
     status = "pass"
@@ -304,19 +298,11 @@ def verify_decomposition_identity(
                         "bundle": expected.to_obj(),
                     }
                 )
-    degenerate = status == "pass" and all(not h for h in hs)
-    return IdentityReport(
-        identity=identity,
-        fiber_dim=fiber_dim,
-        m=m,
-        l_variant=None,
-        route=ROUTE_KTHEORY,
-        lambda_measured=Fraction(1) if status == "pass" and not degenerate else None,
-        paper_ratio=Fraction(1) if status == "pass" and not degenerate else None,
-        residuals=residuals,
-        status="degenerate-zero" if degenerate else status,
-        lhs=[h.to_obj() for h in hs] if hs else [],
-        rhs=[],
+    if status == "pass" and all(not h for h in hs):
+        status = "degenerate-zero"
+    return _exact_report(
+        identity, fiber_dim, m, None, ROUTE_KTHEORY, residuals, status,
+        [h.to_obj() for h in hs],
     )
 
 
@@ -354,11 +340,6 @@ def verify_main_identity(fiber_dim: int, l_variant: str = L_FULL) -> IdentityRep
     )
     residuals = []
     lam = None
-    if not monomials:
-        return IdentityReport(
-            identity, fiber_dim, m, l_variant, ROUTE_KTHEORY, None, None, [],
-            "degenerate-zero", lhs.to_obj(), rhs.to_obj(),
-        )
     for mon in monomials:
         lc, rc = lhs.coefficient(mon), rhs.coefficient(mon)
         if not rc:
@@ -372,6 +353,8 @@ def verify_main_identity(fiber_dim: int, l_variant: str = L_FULL) -> IdentityRep
                 {"monomial": list(mon), "lhs": str(lc), "rhs": str(rc), "ratio": str(ratio)}
             )
     status = "pass" if lam is not None and not residuals else "fail"
+    if not monomials:
+        status = "degenerate-zero"
     return IdentityReport(
         identity=identity,
         fiber_dim=fiber_dim,
@@ -423,18 +406,9 @@ def verify_agw(dim: int, l_variant: str = L_FULL) -> IdentityReport:
         {"monomial": list(mon), "value": str(c)} for mon, c in combo.items()
     ]
     case, m, _ = identity_parameters(dim)
-    return IdentityReport(
-        identity=identity,
-        fiber_dim=dim,
-        m=m,
-        l_variant=normalize_l_variant(l_variant),
-        route=ROUTE_KTHEORY,
-        lambda_measured=Fraction(1) if not residuals else None,
-        paper_ratio=Fraction(1) if not residuals else None,
-        residuals=residuals,
-        status="pass" if not residuals else "fail",
-        lhs=combo.to_obj(),
-        rhs=[],
+    return _exact_report(
+        identity, dim, m, normalize_l_variant(l_variant), ROUTE_KTHEORY, residuals,
+        "pass" if not residuals else "fail", combo.to_obj(),
     )
 
 
@@ -510,16 +484,6 @@ def verify_route_equivalence(
     status = "pass" if not residuals else "fail"
     if status == "pass" and not nonzero:
         status = "degenerate-zero"
-    return IdentityReport(
-        identity=f"routes-{kind}",
-        fiber_dim=fiber_dim,
-        m=m,
-        l_variant=normalize_l_variant(l_variant) if kind in (P1, Q1) else None,
-        route=f"{ROUTE_KTHEORY}|{ROUTE_THETA}",
-        lambda_measured=Fraction(1) if status == "pass" else None,
-        paper_ratio=Fraction(1) if status == "pass" else None,
-        residuals=residuals,
-        status=status,
-        lhs=[],
-        rhs=[],
-    )
+    l_variant = normalize_l_variant(l_variant) if kind in (P1, Q1) else None
+    route = f"{ROUTE_KTHEORY}|{ROUTE_THETA}"
+    return _exact_report(f"routes-{kind}", fiber_dim, m, l_variant, route, residuals, status, [])

@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
-from .qseries import TruncationError
+from .qseries import TruncationError, power
 
 
 @dataclass(frozen=True)
@@ -305,17 +305,7 @@ class GradedClass:
         return self.__mul__(other)
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only non-negative integer powers are supported")
-        result = GradedClass.one(self.profile)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return power(self, k, GradedClass.one(self.profile))
 
     def inverse(self) -> "GradedClass":
         c0 = self.constant_term()
@@ -330,19 +320,6 @@ class GradedClass:
                 break
             result = result + term
         return result * (Fraction(1) / c0)
-
-    def exp_positive(self) -> "GradedClass":
-        """exp of a class with zero constant term (nilpotent, finite sum)."""
-        if self.constant_term():
-            raise ValueError("exp_positive requires a zero constant term")
-        result = GradedClass.one(self.profile)
-        term = GradedClass.one(self.profile)
-        for j in range(1, self.profile.max_weight + 1):
-            term = term * self
-            if not term:
-                break
-            result = result + term * Fraction(1, factorial(j))
-        return result
 
     # -- presentation ------------------------------------------------------
 

@@ -2,10 +2,12 @@
 
 Exact series are printed (or written) as JSON wrapped in a versioned
 envelope; verification suites exit 0 only when every check passes
-(degenerate-zero results count as passes only under --allow-degenerate).
-Exit code 2 flags usage errors.  Checks run serially in one process and
-share its memoised theta bundles, modular bases and genera, so each exact
-artifact is built once per run.
+(degenerate-zero results count as passes only under --allow-degenerate)
+and 1 when one fails.  Exit code 2 flags usage errors and unreadable or
+unwritable files, 3 an internal fault (an exact computation's own check
+raised ArithmeticError; its traceback goes to stderr).  Checks run serially
+in one process and share its memoised theta bundles, modular bases and
+genera, so each exact artifact is built once per run.
 
 q-orders on the command line are in doubled exponent units (the exp2 of
 q^(exp2/2)) and are exclusive bounds, matching the series representation.
@@ -29,7 +31,7 @@ from .anomaly import (
 from .chroot import GradedClass
 from .genera import normalize_l_variant
 from .modforms import decomposition_case
-from .qseries import _exp_str
+from .qseries import series_text
 from .witten import THETA1, THETA2, theta_bundle
 
 REPORT_VERSION = 1
@@ -188,12 +190,7 @@ def cmd_decompose(args: argparse.Namespace, config: RunConfig) -> tuple:
     except ValueError as err:
         raise UsageError(str(err))
     profile = identity_profile(args.dim, config.max_form_degree)
-    # the solve reads only q^0..q^(m/2); --q-order is checked and echoed
-    order2 = config.q_order2
-    if order2 is not None and order2 < args.m + 3:
-        raise UsageError(
-            f"q-order {order2} below m+3 = {args.m + 3} (matched window plus guards)"
-        )
+    # the solve reads only q^0..q^(m/2), so --q-order is echoed but not used
     xs = modforms.decompose_theta2(args.m, profile)
     results = [
         {"case": case, "m": args.m, "fiber_dim": args.dim, **_character_obj(x, f"{case}_{r}")}
@@ -328,8 +325,6 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> tuple:
             )
     if suite in ("numeric", "all"):
         add(("z-numeric", 0, 0, ""), lambda: _numeric_reports(args, config))
-    if not tasks:
-        raise UsageError(f"unknown verify suite {suite!r}")
 
     # reports are ordered by key, not by run order
     outcomes = sorted(((key, fn()) for key, fn in tasks), key=lambda kv: kv[0])
@@ -376,21 +371,6 @@ def render_envelope(results: list, config: RunConfig) -> str:
     return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
 
 
-def _series_str(series_obj: list) -> str:
-    if not series_obj:
-        return "0"
-    parts = []
-    for term in series_obj:
-        coef, exp2 = term["coef"], term["exp2"]
-        if exp2 == 0:
-            parts.append(str(coef))
-        elif coef == "1":
-            parts.append(_exp_str(exp2))
-        else:
-            parts.append(f"({coef})*{_exp_str(exp2)}")
-    return " + ".join(parts)
-
-
 def _form_str(form_obj: list) -> str:
     """A character's positive-degree part: no constant term, so always (coef)*mon."""
     if not form_obj:
@@ -432,7 +412,8 @@ def render_table(results: list) -> str:
                     f"  {coeff['label']}: rank={coeff['rank']} ch+ = {_form_str(coeff['form'])}"
                 )
         elif "series" in entry:
-            lines.append(f"{entry.get('target', 'series')}: {_series_str(entry['series'])}")
+            text = series_text((term["exp2"], term["coef"]) for term in entry["series"])
+            lines.append(f"{entry.get('target', 'series')}: {text}")
         else:
             lines.append(json.dumps(entry, sort_keys=True))
     return "\n".join(lines) + "\n"
@@ -540,13 +521,13 @@ def main(argv: list | None = None) -> int:
     try:
         config = build_config(args)
         results, code = _COMMANDS[args.command](args, config)
-    except UsageError as err:
+        emit(results, config)
+    except (ValueError, OSError) as err:  # UsageError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    emit(results, config)
+    except ArithmeticError:  # an internal check of the exact computation failed
+        sys.excepthook(*sys.exc_info())  # the traceback, without importing traceback
+        return 3
     return code
 
 

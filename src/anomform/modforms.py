@@ -8,7 +8,9 @@ nullwerte and tagged with their weight and congruence subgroup.
 
 The decomposition machinery matches q^(r/2)-coefficients of a series against
 the monomial basis (8 delta_2)^(e-2r) epsilon_2^r; the system is triangular
-with unit diagonal because epsilon_2 = q^(1/2)(1 + ...).
+with unit diagonal because epsilon_2 = q^(1/2)(1 + ...).  It is solved one
+way only: through its integral inverse, ``combination_matrix``, whose rows
+turn the matched window q^0..q^(m/2) into the basis coefficients.
 """
 
 from __future__ import annotations
@@ -53,26 +55,25 @@ def _one_minus(exp2: int, sign: int, order2: int) -> HalfQSeries:
     return HalfQSeries.from_terms(QQ, [(0, 1), (exp2, sign)], order2)
 
 
-def theta2_nullwert(order2: int) -> HalfQSeries:
-    """theta_2(0, tau) = prod (1 - q^j)(1 - q^(j-1/2))^2."""
+def _nullwert_product(half_sign: int, order2: int) -> HalfQSeries:
+    """prod (1 - q^j)(1 + half_sign q^(j-1/2))^2."""
     out = HalfQSeries.one(QQ, order2)
     for j in range(1, order2 // 2 + 2):
         if 2 * j < order2:
             out = out * _one_minus(2 * j, -1, order2)
         if 2 * j - 1 < order2:
-            out = out * _one_minus(2 * j - 1, -1, order2) ** 2
+            out = out * _one_minus(2 * j - 1, half_sign, order2) ** 2
     return out
+
+
+def theta2_nullwert(order2: int) -> HalfQSeries:
+    """theta_2(0, tau) = prod (1 - q^j)(1 - q^(j-1/2))^2."""
+    return _nullwert_product(-1, order2)
 
 
 def theta3_nullwert(order2: int) -> HalfQSeries:
     """theta_3(0, tau) = prod (1 - q^j)(1 + q^(j-1/2))^2."""
-    out = HalfQSeries.one(QQ, order2)
-    for j in range(1, order2 // 2 + 2):
-        if 2 * j < order2:
-            out = out * _one_minus(2 * j, -1, order2)
-        if 2 * j - 1 < order2:
-            out = out * _one_minus(2 * j - 1, 1, order2) ** 2
-    return out
+    return _nullwert_product(1, order2)
 
 
 def theta1_nullwert_fourth(order2: int) -> HalfQSeries:
@@ -157,18 +158,15 @@ def _modular_basis(weight: int, order2: int) -> tuple:
     return tuple(d8 ** (e - 2 * r) * (eps**r) for r in range(weight // 4 + 1))
 
 
-def _triangular_solve(f: HalfQSeries, weight: int):
-    """Coefficients x_r with sum x_r basis_r matching f at q^(r/2), r <= m.
+def combination_matrix(weight: int) -> list:
+    """Integral inverse of the matched-window basis matrix: the one solver.
 
-    Returns (xs, basis, matrix M) with M[s][r] the rational q^(s/2)
-    coefficient of basis_r; M is lower triangular with +-1 diagonal.
+    Row s expresses the s-th solved coefficient as an integer combination of
+    the input's q^(0/2)..q^(s/2) coefficients.  Raises ArithmeticError unless
+    the matrix has a unit diagonal, is lower triangular and inverts integrally.
     """
     m = weight // 4
-    if f.order2 < m + 1:
-        raise TruncationError(
-            f"need at least {m + 1} matched coefficients, have order2={f.order2}"
-        )
-    basis = modular_basis(weight, max(f.order2, m + 1))
+    basis = modular_basis(weight, m + 1)
     matrix = [[basis[r].coefficient(s) for r in range(m + 1)] for s in range(m + 1)]
     for r in range(m + 1):
         if abs(matrix[r][r]) != 1:
@@ -176,26 +174,6 @@ def _triangular_solve(f: HalfQSeries, weight: int):
         for s in range(r):
             if matrix[s][r] != 0:
                 raise ArithmeticError("basis matrix must be lower triangular")
-    xs = []
-    for s in range(m + 1):
-        acc = f.coefficient(s)
-        for r in range(s):
-            coeff = matrix[s][r]
-            if coeff:
-                acc = acc - xs[r] * coeff
-        xs.append(acc * (Fraction(1) / matrix[s][s]))
-    return xs, basis, matrix
-
-
-def combination_matrix(weight: int) -> list:
-    """Inverse of the matched-window basis matrix; integral with +-1 diagonal.
-
-    Row s expresses the s-th solved coefficient as an integer combination of
-    the input's q^(0/2)..q^(s/2) coefficients.
-    """
-    m = weight // 4
-    basis = modular_basis(weight, m + 1)
-    matrix = [[basis[r].coefficient(s) for r in range(m + 1)] for s in range(m + 1)]
     inv = [[Fraction(0)] * (m + 1) for _ in range(m + 1)]
     for s in range(m + 1):
         inv[s][s] = Fraction(1) / matrix[s][s]
@@ -209,6 +187,25 @@ def combination_matrix(weight: int) -> list:
             if entry.denominator != 1:
                 raise ArithmeticError("combination matrix must be integral")
     return [[int(entry) for entry in row] for row in inv]
+
+
+def _solve(f: HalfQSeries, weight: int):
+    """(xs, recon): basis coefficients of f and their sum, at f.order2.
+
+    The xs are the combination matrix applied to q^0..q^(m/2) of f.
+    """
+    m = weight // 4
+    if f.order2 < m + 1:
+        raise TruncationError(
+            f"need at least {m + 1} matched coefficients, have order2={f.order2}"
+        )
+    rows = combination_matrix(weight)
+    window = [f.coefficient(j) for j in range(m + 1)]
+    xs = [sum((c * k for c, k in zip(window, row) if k), f.ring.zero) for row in rows]
+    recon = HalfQSeries.zero(f.ring, f.order2)
+    for x, b in zip(xs, modular_basis(weight, f.order2)):
+        recon = recon + b.lift_to(f.ring) * x
+    return xs, recon
 
 
 def basis_decompose(f, weight: int | None = None) -> list:
@@ -230,12 +227,8 @@ def basis_decompose(f, weight: int | None = None) -> list:
         f = f.series
     if weight is None:
         raise ValueError("weight is required for untagged series")
-    xs, basis, _ = _triangular_solve(f, weight)
-    recon = HalfQSeries.zero(f.ring, f.order2)
-    for x, b in zip(xs, basis):
-        recon = recon + b.lift_to(f.ring) * x
-    bound = min(f.order2, recon.order2)
-    for exp2 in range(bound):
+    xs, recon = _solve(f, weight)
+    for exp2 in range(f.order2):
         if f.coefficient(exp2) != recon.coefficient(exp2):
             raise SpanError(
                 f"input is not in the modular span: first mismatch at exp2={exp2}",
@@ -270,12 +263,7 @@ def decompose_theta2(m: int, profile: RootProfile) -> tuple:
     case = decomposition_case(m, profile.fiber_dim)
     weight = 4 * m + 2 if case == "b" else 4 * m
     f = theta_bundle(THETA2, profile, m + 1).series
-    xs, basis, _ = _triangular_solve(f, weight)
-    combination_matrix(weight)  # raises unless the solve is integral
-    # matched-window residual must vanish exactly
-    recon = HalfQSeries.zero(f.ring, f.order2)
-    for x, b in zip(xs, basis):
-        recon = recon + b.lift_to(f.ring) * x
+    xs, recon = _solve(f, weight)
     for s in range(m + 1):
         if f.coefficient(s) != recon.coefficient(s):
             raise ArithmeticError("matched window residual")

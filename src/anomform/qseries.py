@@ -28,8 +28,6 @@ class TruncationError(ValueError):
 class RationalRing:
     """Coefficient ring of arbitrary-precision rationals."""
 
-    name = "Q"
-
     @property
     def zero(self) -> Fraction:
         return Fraction(0)
@@ -77,6 +75,33 @@ def _exp_str(exp2: int) -> str:
     if exp2 % 2 == 0:
         return f"q^{exp2 // 2}"
     return f"q^({exp2}/2)"
+
+
+def series_text(terms) -> str:
+    """`c0 + q^(1/2) + (c)*q + ...` from (exp2, coefficient text) pairs; "0" if none."""
+    parts = []
+    for exp2, coef in terms:
+        if exp2 == 0:
+            parts.append(coef)
+        elif coef == "1":
+            parts.append(_exp_str(exp2))
+        else:
+            parts.append(f"({coef})*{_exp_str(exp2)}")
+    return " + ".join(parts) or "0"
+
+
+def power(base, k: int, one):
+    """base**k by square-and-multiply, starting from the ring's `one`."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("only non-negative integer powers are supported")
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
 
 
 class HalfQSeries:
@@ -240,16 +265,7 @@ class HalfQSeries:
         return self * self.ring.invert(scalar)
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only non-negative integer powers are supported")
-        result = HalfQSeries.one(self.ring, self.order2)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return power(self, k, HalfQSeries.one(self.ring, self.order2))
 
     def inverse(self) -> "HalfQSeries":
         """Multiplicative inverse; requires an invertible constant term."""
@@ -303,17 +319,8 @@ class HalfQSeries:
     # -- presentation ------------------------------------------------------
 
     def __repr__(self) -> str:
-        if not self._coeffs:
-            return f"0 + O({_exp_str(self.order2)})"
-        parts = []
-        for exp2, c in self.items():
-            if exp2 == 0:
-                parts.append(str(c))
-            elif c == self.ring.one:
-                parts.append(_exp_str(exp2))
-            else:
-                parts.append(f"({c})*{_exp_str(exp2)}")
-        return " + ".join(parts) + f" + O({_exp_str(self.order2)})"
+        body = series_text((exp2, str(c)) for exp2, c in self.items())
+        return f"{body} + O({_exp_str(self.order2)})"
 
     def to_obj(self) -> list:
         """Ordered JSON-ready form: [{"exp2": int, "coef": ...}, ...]."""

@@ -99,11 +99,6 @@ def delta_epsilon_eval(which: str, tau: complex, n_terms: int | None = None) -> 
     raise ValueError(f"unknown form {which!r}")
 
 
-def _sqrt_tau_over_i(tau: complex) -> complex:
-    """Principal branch of (tau / i)^(1/2)."""
-    return cmath.sqrt(tau / 1j)
-
-
 @dataclass
 class NumericCheckReport:
     """Residuals of one transformation law over a sample set."""
@@ -144,7 +139,8 @@ def _theta_law_residuals(kind: str, v: complex, tau: complex, n_terms: int | Non
     phase = cmath.exp(1j * cmath.pi / 4) if _T_PHASE[kind] else 1.0
     lhs_t = theta_eval(kind, v, tau + 1, n_terms)
     rhs_t = phase * theta_eval(_T_PARTNER[kind], v, tau, n_terms)
-    prefactor = _sqrt_tau_over_i(tau) * cmath.exp(1j * cmath.pi * tau * v * v)
+    # principal branch of (tau / i)^(1/2)
+    prefactor = cmath.sqrt(tau / 1j) * cmath.exp(1j * cmath.pi * tau * v * v)
     if kind == "theta":
         prefactor = prefactor / 1j
     lhs_s = theta_eval(kind, v, -1.0 / tau, n_terms)

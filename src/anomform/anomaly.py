@@ -7,6 +7,16 @@ cancellation identity against the expected integer constant, checks the
 three classical gravitational cancellation combinations, and extracts the
 integer corollary vectors.  Everything here is exact rational arithmetic; a
 report either has an empty residual list or names the offending monomials.
+
+Every exact artifact is computed once per identity class: the fiber
+dimensions 8m+1..8m+3 (b case) or 8m-3..8m-1 (z case) at identity degree
+8m+4 or 8m.  At weight w = degree/4 the truncated Pontryagin ring is free
+in p_1..p_w once n_pairs >= w, and a zero root contributes nothing to a
+reduced character, the A-roof or the full-angle L class; so a stable fiber
+is computed on its class representative RootProfile(8m+2 or 8m-2, degree),
+and the dimension d enters only where it is mathematically present: the
+corollary constant beta and the half-angle L constant 2^ceil(d/2).
+Dimension 1 (n_pairs 0 < w 1) is unstable and keeps its own profile.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from .chroot import (
 )
 from .genera import (
     L_FULL,
+    L_HALF,
     a_hat,
     ahat_root_series,
     l_class,
@@ -69,6 +80,26 @@ def identity_profile(fiber_dim: int, max_form_degree: int | None = None) -> Root
     if max_form_degree is None:
         _, _, max_form_degree = identity_parameters(fiber_dim)
     return RootProfile(fiber_dim, max_form_degree)
+
+
+def _class_profile(fiber_dim: int) -> RootProfile:
+    """The profile fiber_dim's identity class is computed on (see the module doc)."""
+    case, m, degree = identity_parameters(fiber_dim)
+    own = RootProfile(fiber_dim, degree)
+    if own.n_pairs < own.max_weight:
+        return own
+    return RootProfile(8 * m + 2 if case == "b" else 8 * m - 2, degree)
+
+
+def _half_angle_scale(fiber_dim: int, profile: RootProfile, l_variant) -> int:
+    """L-class factor from `profile` to fiber_dim: 2^ceil(d/2) / 2^ceil(d_rep/2) or 1.
+
+    Each root pair and a zero root contribute the constant term of
+    x/tanh(x/2), which is 2; under the full angle that constant is 1.
+    """
+    if l_variant != L_HALF:
+        return 1
+    return 2 ** ((fiber_dim + 1) // 2 - (profile.fiber_dim + 1) // 2)
 
 
 @dataclass
@@ -155,7 +186,6 @@ def _one_plus_exp_q(c: int, sign: int, exp2: int, order2: int, n_x: int) -> list
     return out
 
 
-@lru_cache(maxsize=None)
 def theta_quotient_pair_series(
     kind: str, l_variant: str, order2: int, max_weight: int
 ) -> tuple:
@@ -208,6 +238,7 @@ def theta_quotient_pair_series(
     return tuple(series[0::2][: max_weight + 1])
 
 
+@lru_cache(maxsize=None)
 def p_form(
     kind: str,
     profile: RootProfile,
@@ -219,7 +250,8 @@ def p_form(
 
     ktheory route: Hirzebruch prefactor times the Witten bundle character,
     degree component per q-coefficient.  theta_product route: per-root-pair
-    theta-quotient products pushed through the power-sum pipeline.
+    theta-quotient products pushed through the power-sum pipeline.  Memoised:
+    each series is computed once per argument tuple and process.
     """
     case, m, degree = _kind_parameters(kind, profile)
     if order2 is None:
@@ -263,13 +295,13 @@ def verify_decomposition_identity(
     decomposition.
     """
     case, m, degree = identity_parameters(fiber_dim)
-    profile = identity_profile(fiber_dim)
+    profile = _class_profile(fiber_dim)
     if order2 is None:
         order2 = default_theta_order2(m)
     kind = P2 if case == "b" else Q2
     identity = "eq3.12" if case == "b" else "eq3.33"
     weight = degree // 2
-    series = p_form(kind, profile, ROUTE_KTHEORY, order2=order2)
+    series = p_form(kind, profile, ROUTE_KTHEORY, L_FULL, order2)
     residuals = []
     status = "pass"
     hs = []
@@ -311,12 +343,15 @@ def main_identity_sides(fiber_dim: int, l_variant: str = L_FULL):
 
     lhs = {L}^(deg), rhs = sum_r 2^(-6r) {A-roof ch(b_r or z_r)}^(deg); the
     identity claims lhs = lambda * rhs with lambda = 8*2^(6m) or 2^(6m).
+    Both sides live over the class profile.
     """
     case, m, degree = identity_parameters(fiber_dim)
-    profile = identity_profile(fiber_dim)
+    profile = _class_profile(fiber_dim)
     brs = decompose_theta2(m, profile)
     ahat = a_hat(profile)
-    lhs = l_class(profile, normalize_l_variant(l_variant)).degree_component(degree)
+    l_variant = normalize_l_variant(l_variant)
+    lhs = l_class(profile, l_variant).degree_component(degree)
+    lhs = lhs * _half_angle_scale(fiber_dim, profile, l_variant)
     rhs = GradedClass.zero(profile)
     for r, br in enumerate(brs):
         h = ahat.mul_degree(br, degree)
@@ -425,7 +460,7 @@ def corollary_coefficients(fiber_dim: int) -> CorollaryVector:
     if fiber_dim not in COROLLARY_DIMENSIONS:
         raise ValueError(f"no corollary is stated for fiber dimension {fiber_dim}")
     case, m, _ = identity_parameters(fiber_dim)
-    profile = identity_profile(fiber_dim)
+    profile = _class_profile(fiber_dim)
     brs = decompose_theta2(m, profile)
     overall = CASE_CONSTANTS[case]
     combo = GradedClass.zero(profile)
@@ -447,7 +482,7 @@ def corollary_coefficients(fiber_dim: int) -> CorollaryVector:
             raise ArithmeticError("combination has extra form content")
     elif form:
         raise ArithmeticError("combination has form content on a formless fiber")
-    beta = combo.constant_term() - alpha * profile.fiber_dim
+    beta = combo.constant_term() - alpha * fiber_dim
     return CorollaryVector(fiber_dim, (Fraction(1), -alpha, -beta))
 
 
@@ -461,11 +496,14 @@ def verify_route_equivalence(
     case, m, _ = identity_parameters(fiber_dim)
     if kind is None:
         kind = P2 if case == "b" else Q2
-    profile = identity_profile(fiber_dim)
+    _kind_parameters(kind, identity_profile(fiber_dim))  # errors name fiber_dim
+    profile = _class_profile(fiber_dim)
     if order2 is None:
         order2 = default_theta_order2(m)
-    via_k = p_form(kind, profile, ROUTE_KTHEORY, l_variant, order2)
-    via_theta = p_form(kind, profile, ROUTE_THETA, l_variant, order2)
+    l_variant = normalize_l_variant(l_variant) if kind in (P1, Q1) else None
+    via_k = p_form(kind, profile, ROUTE_KTHEORY, l_variant or L_FULL, order2)
+    via_theta = p_form(kind, profile, ROUTE_THETA, l_variant or L_FULL, order2)
+    scale = _half_angle_scale(fiber_dim, profile, l_variant)
     bound = min(via_k.order2, via_theta.order2)
     residuals = []
     for exp2 in range(bound):
@@ -475,8 +513,8 @@ def verify_route_equivalence(
                 {
                     "kind": kind,
                     "exp2": exp2,
-                    "ktheory": a.to_obj(),
-                    "theta_product": b.to_obj(),
+                    "ktheory": (a * scale).to_obj(),
+                    "theta_product": (b * scale).to_obj(),
                 }
             )
             break  # report the first differing coefficient
@@ -484,6 +522,5 @@ def verify_route_equivalence(
     status = "pass" if not residuals else "fail"
     if status == "pass" and not nonzero:
         status = "degenerate-zero"
-    l_variant = normalize_l_variant(l_variant) if kind in (P1, Q1) else None
     route = f"{ROUTE_KTHEORY}|{ROUTE_THETA}"
     return _exact_report(f"routes-{kind}", fiber_dim, m, l_variant, route, residuals, status, [])

@@ -4,10 +4,11 @@ Exact series are printed (or written) as JSON wrapped in a versioned
 envelope; verification suites exit 0 only when every check passes
 (degenerate-zero results count as passes only under --allow-degenerate)
 and 1 when one fails.  Exit code 2 flags usage errors and unreadable or
-unwritable files, 3 an internal fault (an exact computation's own check
-raised ArithmeticError; its traceback goes to stderr).  Checks run serially
-in one process and share its memoised theta bundles, modular bases and
-genera, so each exact artifact is built once per run.
+unwritable files, 3 an internal fault (an exact computation raised
+ArithmeticError, TruncationError or SpanError; its traceback goes to
+stderr).  Checks run serially in one process and share its memoised theta
+bundles, modular bases, genera and characteristic series, so each exact
+artifact is built once per identity class and run.
 
 q-orders on the command line are in doubled exponent units (the exp2 of
 q^(exp2/2)) and are exclusive bounds, matching the series representation.
@@ -30,9 +31,9 @@ from .anomaly import (
 )
 from .chroot import GradedClass
 from .genera import normalize_l_variant
-from .modforms import decomposition_case
-from .qseries import series_text
-from .witten import THETA1, THETA2, theta_bundle
+from .modforms import SpanError, decomposition_case
+from .qseries import TruncationError, series_text
+from .witten import THETA1, THETA2, default_theta_order2, theta_bundle
 
 REPORT_VERSION = 1
 
@@ -260,8 +261,8 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> tuple:
     suite = args.suite
     tasks = []
 
-    def add(report_key, fn):
-        tasks.append((report_key, fn))
+    def add(report_key, fn, order2=0):
+        tasks.append((order2, report_key, fn))
 
     dims = [args.dim] if args.dim is not None else None
     if args.m is not None and args.dim is not None:
@@ -269,13 +270,14 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> tuple:
             decomposition_case(args.m, args.dim)
         except ValueError as err:
             raise UsageError(str(err))
-    # decompositions first: they request the largest bundle order, so the
-    # later checks read the memoised bundle instead of rebuilding it
+    # order2 is the theta-bundle order a task requests; tasks run from the
+    # largest down, so a later, smaller request only truncates the memoised
+    # bundle of its class instead of rebuilding it
     if suite in ("decomposition", "all"):
         for dim in dims or SWEEP_DIMENSIONS:
             _, m, _ = identity_parameters(dim)
-            order2 = config.q_order2
-            if order2 is not None and order2 < m + 3:
+            order2 = config.q_order2 or default_theta_order2(m)
+            if order2 < m + 3:
                 raise UsageError(
                     f"q-order {order2} below m+3 = {m + 3} for dim {dim} "
                     "(matched window plus guards)"
@@ -283,6 +285,7 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> tuple:
             add(
                 ("eq3.12/33", dim, m, ""),
                 lambda d=dim, o=order2: anomaly.verify_decomposition_identity(d, o),
+                order2,
             )
     if suite in ("main", "all"):
         for dim in dims or SWEEP_DIMENSIONS:
@@ -322,12 +325,14 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> tuple:
                     d, kind=getattr(args, "kind", None), order2=o,
                     l_variant=config.l_variant,
                 ),
+                order2,
             )
     if suite in ("numeric", "all"):
         add(("z-numeric", 0, 0, ""), lambda: _numeric_reports(args, config))
 
+    tasks.sort(key=lambda task: -task[0])  # stable: ties keep their order
     # reports are ordered by key, not by run order
-    outcomes = sorted(((key, fn()) for key, fn in tasks), key=lambda kv: kv[0])
+    outcomes = sorted(((key, fn()) for _, key, fn in tasks), key=lambda kv: kv[0])
     results = []
     for _, obj in outcomes:
         if isinstance(obj, list):
@@ -522,12 +527,13 @@ def main(argv: list | None = None) -> int:
         config = build_config(args)
         results, code = _COMMANDS[args.command](args, config)
         emit(results, config)
+    except (ArithmeticError, TruncationError, SpanError):
+        # an exact computation failed inside: a fault, not a usage error
+        sys.excepthook(*sys.exc_info())  # the traceback, without importing traceback
+        return 3
     except (ValueError, OSError) as err:  # UsageError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except ArithmeticError:  # an internal check of the exact computation failed
-        sys.excepthook(*sys.exc_info())  # the traceback, without importing traceback
-        return 3
     return code
 
 

@@ -11,7 +11,7 @@ _MEMOS = (
     modforms.decompose_theta2,
     genera.a_hat,
     genera.l_class,
-    anomaly.theta_quotient_pair_series,
+    anomaly.p_form,
 )
 
 

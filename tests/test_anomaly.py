@@ -30,7 +30,7 @@ from anomform.witten import chern_character
 
 B_DIMS = (1, 2, 3, 9, 10, 11, 17, 18, 19)
 Z_DIMS = (5, 6, 7, 13, 14, 15)
-LARGE_M_DIMS = (25, 26, 27, 29, 30, 31)  # b-class at m = 3, z-class at m = 4
+LARGE_M_DIMS = (25, 26, 27, 29, 30, 31, 33, 37)  # b at m = 3, 4; z at m = 4, 5
 
 
 def p(profile, i, coeff=1):

@@ -1,11 +1,13 @@
-"""Exit status 1 means only that a check failed: an unwritable --out path is a
-usage error (2) and an internal ArithmeticError is exit 3.  Also: decompose
+"""Exit status 1 means only that a check failed: an unwritable --out path or a
+dimension without an identity class is a usage error (2), and an internal
+ArithmeticError, TruncationError or SpanError is exit 3.  Also: decompose
 accepts any positive --q-order, because its solve does not read past q^(m/2)."""
 
 import json
 
-from anomform import modforms
+from anomform import anomaly, modforms
 from anomform.cli import main
+from anomform.qseries import TruncationError
 
 
 def run(capsys, *argv):
@@ -51,3 +53,19 @@ def test_decompose_q_order_zero_exits_2(capsys):
     code, out, err = run(capsys, "decompose", "--m", "1", "--dim", "10", "--q-order", "0")
     assert (code, out) == (2, "")
     assert "q-order must be at least 1" in err
+
+
+def test_truncation_error_in_a_computation_exits_3(monkeypatch, capsys):
+    def truncated(*args):
+        raise TruncationError("comparison window exceeds available truncation")
+
+    monkeypatch.setattr(anomaly, "verify_main_identity", truncated)
+    code, out, err = run(capsys, "verify", "main", "--dim", "10")
+    assert (code, out) == (3, "")
+    assert "Traceback" in err and "TruncationError: comparison window" in err
+
+
+def test_dimension_without_identity_class_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "main", "--dim", "4")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: fiber dimension 4")

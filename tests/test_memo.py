@@ -4,8 +4,8 @@ from collections import Counter
 
 import pytest
 
-from anomform import cli, modforms, witten
-from anomform.anomaly import identity_profile
+from anomform import anomaly, cli, modforms, witten
+from anomform.anomaly import identity_profile, verify_route_equivalence
 from anomform.witten import THETA1, THETA2, build_theta_bundle, theta_bundle
 
 
@@ -35,18 +35,19 @@ def test_memo_matches_fresh_build(clear_memos, monkeypatch, kind, orders, n_buil
     assert builds == {(kind, profile): n_builds}
 
 
-def test_verify_all_builds_each_bundle_at_most_twice(clear_memos, monkeypatch, tmp_path):
+def test_verify_all_builds_each_bundle_once(clear_memos, monkeypatch, tmp_path):
     builds = count_builds(monkeypatch)
     argv = ["verify", "all", "--allow-degenerate", "--out", str(tmp_path / "report.json")]
     assert cli.main(argv) == 0
-    assert builds and max(builds.values()) <= 2
+    assert builds and set(builds.values()) == {1}
 
 
 def test_verify_all_solves_each_decomposition_once(clear_memos, tmp_path):
     argv = ["verify", "all", "--allow-degenerate", "--out", str(tmp_path / "report.json")]
     assert cli.main(argv) == 0
-    # decomposition, main and corollary checks share one solve per profile
-    assert modforms.decompose_theta2.cache_info().misses == len(cli.SWEEP_DIMENSIONS)
+    # decomposition, main and corollary checks share one solve per identity
+    # class: dim 1, b at m = 0, 1, 2 and z at m = 1, 2
+    assert modforms.decompose_theta2.cache_info().misses == 6
 
 
 def test_second_verify_all_is_byte_identical(clear_memos, tmp_path):
@@ -55,3 +56,14 @@ def test_second_verify_all_is_byte_identical(clear_memos, tmp_path):
     assert cli.main(argv + [str(first)]) == 0
     assert cli.main(argv + [str(second)]) == 0  # every artifact from the memos
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_route_cases_compute_each_series_once(clear_memos):
+    # the routes-m3 case list one class lower: 18 checks over 2 classes
+    cases = [("P2", d, "full") for d in (9, 10, 11)] + [("Q2", d, "full") for d in (5, 6, 7)]
+    cases += [(k, d, v) for k, dims in (("P1", (9, 10, 11)), ("Q1", (5, 6, 7)))
+              for d in dims for v in ("half", "full")]
+    for kind, dim, variant in cases:
+        verify_route_equivalence(dim, kind=kind, l_variant=variant)
+    # one series per class, kind, route and L variant: 2 for P2/Q2, 4 for P1/Q1 each
+    assert anomaly.p_form.cache_info().misses == 12

@@ -5,7 +5,9 @@ residual checks of the modular transformation laws: the T/S laws of the
 four thetas, the S-law sending delta_2/epsilon_2 to delta_1/epsilon_1, and
 the S-transformation exchanging the two degree-extracted characteristic
 q-series (with numeric root values and jets truncated at the identity
-degree standing in for the nilpotent curvature variables).
+degree standing in for the nilpotent curvature variables).  A root pair's
+quotient jet does not depend on the root value, so one jet per (side, tau)
+serves every root; thetas needed at one (v, tau) share their q-powers.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-
-TAU_DEFAULT_TERMS = 64
 
 
 def _check_tau(tau: complex):
@@ -31,40 +31,56 @@ def product_terms_needed(tau: complex, target: float = 1e-16) -> int:
     return max(n, 1)
 
 
-def theta_eval(kind: str, v: complex, tau: complex, n_terms: int | None = None) -> complex:
-    """Product-formula value of theta, theta_1, theta_2 or theta_3 at (v, tau)."""
+# kind -> (sign of the w-factors, half-integer q-powers, v-factor of the q^(1/8) prefactor)
+_KINDS = {
+    "theta": (-1.0, False, cmath.sin), "theta0": (-1.0, False, cmath.sin),
+    "theta1": (1.0, False, cmath.cos), "theta2": (-1.0, True, None), "theta3": (1.0, True, None),
+}
+# delta_i / epsilon_i -> the two nullwerte whose 4th powers build it
+_FORM_KINDS = {f + i: kinds for f in ("delta", "eps", "epsilon")
+               for i, kinds in (("1", ("theta2", "theta3")), ("2", ("theta1", "theta3")))}
+
+
+def _theta_values(kinds, v: complex, tau: complex, n_terms: int | None) -> list:
+    """Product-formula values of several theta kinds at one (v, tau).
+
+    The kinds share q, w, 1/w and the lists of q^j, q^(j - 1/2) and 1 - q^j;
+    each kind multiplies its factors in the order a single kind does.
+    """
     _check_tau(tau)
     if n_terms is None:
         n_terms = product_terms_needed(tau)
     elif math.exp(-2.0 * math.pi * tau.imag * n_terms) > 1e-10:
-        warnings.warn(
-            f"n_terms={n_terms} leaves |q|^n above 1e-10 at tau={tau}; "
-            "the truncated product may miss the target accuracy",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"n_terms={n_terms} leaves |q|^n above 1e-10 at tau={tau}; the "
+                      "truncated product may miss the target accuracy", RuntimeWarning,
+                      stacklevel=3)  # names the caller of the public function
+    for kind in kinds:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown theta kind {kind!r}")
     q = cmath.exp(2j * cmath.pi * tau)
     w = cmath.exp(2j * cmath.pi * v)
     w_inv = 1.0 / w
-    if kind in ("theta", "theta0"):
-        value = 2.0 * cmath.exp(cmath.pi * 1j * tau / 4.0) * cmath.sin(cmath.pi * v)
-        sign, half = -1.0, False
-    elif kind == "theta1":
-        value = 2.0 * cmath.exp(cmath.pi * 1j * tau / 4.0) * cmath.cos(cmath.pi * v)
-        sign, half = 1.0, False
-    elif kind == "theta2":
-        value, sign, half = 1.0, -1.0, True
-    elif kind == "theta3":
-        value, sign, half = 1.0, 1.0, True
-    else:
-        raise ValueError(f"unknown theta kind {kind!r}")
-    # q^(1/8) above enters as exp(2 pi i tau / 8); shifted powers for j-1/2
+    # q^(1/8) enters as exp(2 pi i tau / 8); shifted powers for j-1/2
+    eighth = 2.0 * cmath.exp(cmath.pi * 1j * tau / 4.0)
     q_half = cmath.exp(1j * cmath.pi * tau)
-    for j in range(1, n_terms + 1):
-        qj = q**j
-        qs = q_half ** (2 * j - 1) if half else qj
-        value *= (1 - qj) * (1 + sign * w * qs) * (1 + sign * w_inv * qs)
-    return value
+    js = range(1, n_terms + 1)
+    q_int = [q**j for j in js]
+    q_odd = [q_half ** (2 * j - 1) for j in js] if any(_KINDS[k][1] for k in kinds) else None
+    euler = [1 - qj for qj in q_int]
+    values = []
+    for kind in kinds:
+        sign, half, trig = _KINDS[kind]
+        value = 1.0 if trig is None else eighth * trig(cmath.pi * v)
+        sw, sw_inv = sign * w, sign * w_inv
+        for e, qs in zip(euler, q_odd if half else q_int):
+            value *= e * (1 + sw * qs) * (1 + sw_inv * qs)
+        values.append(value)
+    return values
+
+
+def theta_eval(kind: str, v: complex, tau: complex, n_terms: int | None = None) -> complex:
+    """Product-formula value of theta, theta_1, theta_2 or theta_3 at (v, tau)."""
+    return _theta_values((kind,), v, tau, n_terms)[0]
 
 
 def theta_prime_zero(tau: complex, n_terms: int | None = None) -> complex:
@@ -80,23 +96,19 @@ def theta_prime_zero(tau: complex, n_terms: int | None = None) -> complex:
 
 
 def nullwert(kind: str, tau: complex, n_terms: int | None = None) -> complex:
-    return theta_eval(kind, 0.0, tau, n_terms)
+    return _theta_values((kind,), 0.0, tau, n_terms)[0]
 
 
 def delta_epsilon_eval(which: str, tau: complex, n_terms: int | None = None) -> complex:
-    """Numeric delta_i / epsilon_i from nullwert 4th powers."""
-    t1 = nullwert("theta1", tau, n_terms) ** 4
-    t2 = nullwert("theta2", tau, n_terms) ** 4
-    t3 = nullwert("theta3", tau, n_terms) ** 4
+    """Numeric delta_i / epsilon_i from the 4th powers of the two nullwerte it needs."""
+    if which not in _FORM_KINDS:
+        raise ValueError(f"unknown form {which!r}")
+    a, b = (t**4 for t in _theta_values(_FORM_KINDS[which], 0.0, tau, n_terms))
     if which == "delta1":
-        return (t2 + t3) / 8.0
-    if which in ("eps1", "epsilon1"):
-        return t2 * t3 / 16.0
+        return (a + b) / 8.0
     if which == "delta2":
-        return -(t1 + t3) / 8.0
-    if which in ("eps2", "epsilon2"):
-        return t1 * t3 / 16.0
-    raise ValueError(f"unknown form {which!r}")
+        return -(a + b) / 8.0
+    return a * b / 16.0
 
 
 @dataclass
@@ -158,13 +170,14 @@ def _delta_eps_law_residual(which: str, tau: complex, n_terms: int | None) -> fl
     return abs(lhs - rhs)
 
 
-def _pair_jet(side: int, x: complex, tau: complex, max_degree: int, n_terms: int | None):
-    """Jet in x of one root pair's determinant-normalized theta quotient.
+def _pair_jet(side: int, tau: complex, max_degree: int, n_terms: int | None) -> list:
+    """Jet c_0..c_max_degree of one root pair's determinant-normalized theta quotient.
 
-    side 1: v = i x / pi with the theta_1 quotient (the Theta_1 side);
-    side 2: v = i x / (2 pi) with the theta_2 quotient (the Theta_2 side).
-    Coefficients c_0..c_max_degree are extracted by roots-of-unity sampling
-    (aliasing error O(radius^points)).
+    side 1: v = i t / pi with the theta_1 quotient (the Theta_1 side);
+    side 2: v = i t / (2 pi) with the theta_2 quotient (the Theta_2 side).
+    The jet does not depend on the root value x: a root's term vector is
+    c_d x^d, so one jet per (side, tau) serves every root.  Coefficients are
+    extracted by roots-of-unity sampling (aliasing error O(radius^points)).
     """
     points = 2 * max_degree + 10
     radius = 0.25
@@ -175,23 +188,20 @@ def _pair_jet(side: int, x: complex, tau: complex, max_degree: int, n_terms: int
     for k in range(points):
         t = radius * cmath.exp(2j * cmath.pi * k / points)
         v = 1j * t / cmath.pi if side == 1 else 1j * t / (2 * cmath.pi)
-        value = (
-            v
-            * prime
-            / theta_eval("theta", v, tau, n_terms)
-            * theta_eval(quotient_kind, v, tau, n_terms)
-            / null
-        )
-        samples.append(value)
-    jets = []
+        theta, quotient = _theta_values(("theta", quotient_kind), v, tau, n_terms)
+        samples.append(v * prime / theta * quotient / null)
+    jet = []
     for d in range(max_degree + 1):
         acc = 0j
         for k, s in enumerate(samples):
-            omega = cmath.exp(-2j * cmath.pi * k * d / points)
-            acc += s * omega
-        jets.append(acc / (points * radius**d))
-    # evaluate the jet polynomial's term vector at the root value
-    return [jets[d] * x**d for d in range(max_degree + 1)]
+            acc += s * cmath.exp(-2j * cmath.pi * k * d / points)
+        jet.append(acc / (points * radius**d))
+    return jet
+
+
+def _root_terms(jet: list, roots: list) -> list:
+    """Each root's term vector c_d x^d of one pair jet."""
+    return [[c * complex(x) ** d for d, c in enumerate(jet)] for x in roots]
 
 
 def _top_degree_product(term_vectors: list, degree: int) -> complex:
@@ -210,13 +220,8 @@ def _top_degree_product(term_vectors: list, degree: int) -> complex:
     return acc[degree]
 
 
-def transformed_pq_residual(
-    m: int,
-    roots: list,
-    tau: complex,
-    z_case: bool = False,
-    n_terms: int | None = None,
-) -> float:
+def transformed_pq_residual(m: int, roots: list, tau: complex, z_case: bool = False,
+                            n_terms: int | None = None) -> float:
     """Residual of the S-transformation between the two degree-extracted series.
 
     Checks {side-1 product}(roots, -1/tau) = 2^w tau^w {side-2 product}(roots, tau)
@@ -227,21 +232,15 @@ def transformed_pq_residual(
     tau_s = -1.0 / tau
     n_lhs = product_terms_needed(tau_s) if n_terms is None else n_terms
     n_rhs = product_terms_needed(tau) if n_terms is None else n_terms
-    lhs_vecs = [_pair_jet(1, complex(x), tau_s, w, n_lhs) for x in roots]
-    rhs_vecs = [_pair_jet(2, complex(x), tau, w, n_rhs) for x in roots]
-    lhs = _top_degree_product(lhs_vecs, w)
-    rhs = _top_degree_product(rhs_vecs, w)
+    lhs = _top_degree_product(_root_terms(_pair_jet(1, tau_s, w, n_lhs), roots), w)
+    rhs = _top_degree_product(_root_terms(_pair_jet(2, tau, w, n_rhs), roots), w)
     expected = (2.0 * tau) ** w * rhs
     scale = max(1.0, abs(expected))
     return abs(lhs - expected) / scale
 
 
-def check_transformation(
-    law: str,
-    samples: list,
-    tol: float = 1e-9,
-    n_terms: int | None = None,
-) -> NumericCheckReport:
+def check_transformation(law: str, samples: list, tol: float = 1e-9,
+                         n_terms: int | None = None) -> NumericCheckReport:
     """Evaluate both sides of a transformation law over the sample set.
 
     Laws eq3.1..eq3.4 take (v, tau) samples and produce two residuals each
@@ -262,15 +261,11 @@ def check_transformation(
             residuals.append(_delta_eps_law_residual(which, complex(tau), n_terms))
             recorded.append({"tau": str(complex(tau))})
     elif law in ("eq3.11", "eq3.32"):
+        z_case = law == "eq3.32"
         for m, roots, tau in samples:
-            residuals.append(
-                transformed_pq_residual(
-                    m, list(roots), complex(tau), z_case=(law == "eq3.32"), n_terms=n_terms
-                )
-            )
-            recorded.append(
-                {"m": m, "roots": [str(complex(x)) for x in roots], "tau": str(complex(tau))}
-            )
+            residuals.append(transformed_pq_residual(m, list(roots), complex(tau), z_case, n_terms))
+            recorded.append({"m": m, "roots": [str(complex(x)) for x in roots],
+                             "tau": str(complex(tau))})
     else:
         raise ValueError(f"unknown transformation law {law!r}")
     return NumericCheckReport(law, recorded, residuals, tol, n_terms)

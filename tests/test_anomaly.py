@@ -332,7 +332,7 @@ def test_exact_series_match_numeric_quotient_jets(dim, kind, w, roots):
     import cmath
 
     from anomform.chroot import eval_at_roots
-    from anomform.thetanum import _pair_jet, _top_degree_product
+    from anomform.thetanum import _pair_jet, _root_terms, _top_degree_product
 
     profile = identity_profile(dim)
     series = p_form(kind, profile, ROUTE_KTHEORY, order2=10)
@@ -343,7 +343,7 @@ def test_exact_series_match_numeric_quotient_jets(dim, kind, w, roots):
         complex(eval_at_roots(cls, root_fractions)) * q_half**exp2
         for exp2, cls in series.items()
     )
-    vecs = [_pair_jet(2, complex(x), tau, w, None) for x in root_fractions]
+    vecs = _root_terms(_pair_jet(2, tau, w, None), root_fractions)
     numeric = _top_degree_product(vecs, w)
     assert abs(exact - numeric) < 1e-12
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from anomform import thetanum
 from anomform.modforms import delta_epsilon, theta2_nullwert, theta3_nullwert
 from anomform.thetanum import (
     check_transformation,
@@ -136,3 +137,67 @@ def test_report_serialization():
     assert obj["law"] == "eq3.5delta"
     assert obj["status"] == "pass"
     assert len(obj["residuals"]) == 1
+
+
+def count_products(monkeypatch) -> list:
+    """Record the kinds of every theta product loop from now on."""
+    calls = []
+    original = thetanum._theta_values
+
+    def counted(kinds, v, tau, n_terms):
+        calls.append(tuple(kinds))
+        return original(kinds, v, tau, n_terms)
+
+    monkeypatch.setattr(thetanum, "_theta_values", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_roots", (1, 2, 4))
+@pytest.mark.parametrize("m, z_case", ((1, False), (2, True)))
+def test_one_jet_per_side_whatever_the_roots(monkeypatch, n_roots, m, z_case):
+    products = count_products(monkeypatch)
+    jets = []
+    original = thetanum._pair_jet
+
+    def counted(side, tau, max_degree, n_terms):
+        jets.append(side)
+        return original(side, tau, max_degree, n_terms)
+
+    monkeypatch.setattr(thetanum, "_pair_jet", counted)
+    roots = [0.03 * (k + 1) * (-1) ** k for k in range(n_roots)]
+    assert transformed_pq_residual(m, roots, complex(0.2, 1.1), z_case=z_case) < 1e-9
+    assert sorted(jets) == [1, 2]
+    # each jet: its nullwert, then one two-kind product per sample point
+    points = 2 * (4 * m if z_case else 4 * m + 2) + 10
+    side_1 = [("theta1",)] + [("theta", "theta1")] * points
+    side_2 = [("theta2",)] + [("theta", "theta2")] * points
+    assert products == side_1 + side_2
+
+
+@pytest.mark.parametrize(
+    "which, kinds",
+    (("delta1", ("theta2", "theta3")), ("eps1", ("theta2", "theta3")),
+     ("delta2", ("theta1", "theta3")), ("epsilon2", ("theta1", "theta3"))),
+)
+def test_delta_epsilon_makes_one_two_kind_product(monkeypatch, which, kinds):
+    products = count_products(monkeypatch)
+    delta_epsilon_eval(which, complex(0.1, 0.9))
+    assert products == [kinds]
+
+
+def test_unknown_theta_kind_rejected():
+    with pytest.raises(ValueError, match="unknown theta kind 'theta9'"):
+        theta_eval("theta9", 0.1, 1j)
+
+
+def test_unknown_form_rejected():
+    with pytest.raises(ValueError, match="unknown form 'delta3'"):
+        delta_epsilon_eval("delta3", 1j)
+
+
+def test_insufficient_terms_warning_names_the_caller():
+    with pytest.warns(RuntimeWarning, match="n_terms") as record:
+        theta_eval("theta3", 0.1, complex(0.0, 0.5), n_terms=2)
+    with pytest.warns(RuntimeWarning, match="n_terms") as record_null:
+        nullwert("theta2", complex(0.0, 0.5), n_terms=2)
+    assert [r.filename for r in (*record, *record_null)] == [__file__, __file__]

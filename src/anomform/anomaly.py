@@ -30,6 +30,7 @@ from .chroot import (
     GradedClass,
     GradedRing,
     RootProfile,
+    even_part,
     product_over_root_pairs,
     xseries_inverse,
     xseries_mul,
@@ -175,67 +176,44 @@ def _kind_parameters(kind: str, profile: RootProfile):
 # -- exact theta-quotient route ---------------------------------------------
 
 
-def _one_plus_exp_q(c: int, sign: int, exp2: int, order2: int, n_x: int) -> list:
-    """1 + sign * e^(c x) * q^(exp2/2) as an x-series over q-series."""
-    out = []
-    for i in range(n_x):
-        base = [(exp2, sign * Fraction(c) ** i / factorial(i))]
-        if i == 0:
-            base.append((0, 1))
-        out.append(HalfQSeries.from_terms(QQ, base, order2))
-    return out
-
-
 def theta_quotient_pair_series(
     kind: str, l_variant: str, order2: int, max_weight: int
 ) -> tuple:
-    """Even u-coefficients (u = x^2) of one root pair's theta-quotient factor.
+    """u-coefficients (u = x^2) of one root pair's theta-quotient factor.
 
-    The q^0 term is calibrated to the matching K-theory prefactor (A-roof
-    for the Theta_2 side, the requested L-variant for the Theta_1 side).
-    The full-angle Theta_1 calibration doubles the root exponentials: that
-    is the determinant normalization under which the S-transformation
-    carries the clean 2^(4m+2) factor.
+    The factor is even in the root x, so it is built in u from closed forms.
+    An exterior-power factor at t = q^(h/2), s = +-1 is
+    (1 + s t e^(cx))(1 + s t e^(-cx)) / (1 + s t)^2
+    = 1 + 2st/(1+st)^2 (cosh(cx) - 1), and a symmetric-power factor
+    (1-q^n)^2 / ((1 - e^(cx) q^n)(1 - e^(-cx) q^n)) is the inverse of that
+    form at s = -1, t = q^n.  The q^0 term is calibrated to the matching
+    K-theory prefactor (A-roof for the Theta_2 side, the requested L-variant
+    for the Theta_1 side).  The full-angle Theta_1 calibration doubles the
+    root exponentials (c = 2): that is the determinant normalization under
+    which the S-transformation carries the clean 2^(4m+2) factor.
     """
-    n_x = 2 * max_weight + 1
-    one = HalfQSeries.one(QQ, order2)
+    n_u = max_weight + 1
     if kind in (P2, Q2):
-        prefactor, c = ahat_root_series(n_x), 1
-    else:
-        l_variant = normalize_l_variant(l_variant)
-        prefactor = l_root_series(n_x, l_variant)
-        c = 1 if l_variant != L_FULL else 2
-    series = [one * coeff for coeff in prefactor]
-    if kind in (P2, Q2):
+        prefactor, c = ahat_root_series(2 * max_weight + 1), 1
         lambda_factors = [(2 * n - 1, -1) for n in range(1, order2 // 2 + 1)]
     else:
+        l_variant = normalize_l_variant(l_variant)
+        prefactor = l_root_series(2 * max_weight + 1, l_variant)
+        c = 1 if l_variant != L_FULL else 2
         lambda_factors = [(2 * n, 1) for n in range(1, (order2 - 1) // 2 + 1)]
-    # symmetric-power factors: (1-q^n)^2 / ((1 - e^(cx) q^n)(1 - e^(-cx) q^n))
+    one = HalfQSeries.one(QQ, order2)
+
+    def cosh_form(exp2, sign):
+        st = HalfQSeries.from_terms(QQ, [(exp2, sign)], order2)
+        scale = st * 2 * ((one + st) ** 2).inverse()
+        return [one] + [scale * Fraction(c ** (2 * k), factorial(2 * k)) for k in range(1, n_u)]
+
+    series = [one * coeff for coeff in even_part(prefactor)]
     for n in range(1, (order2 - 1) // 2 + 1):
-        exp2 = 2 * n
-        denom = xseries_mul(
-            _one_plus_exp_q(c, -1, exp2, order2, n_x),
-            _one_plus_exp_q(-c, -1, exp2, order2, n_x),
-            n_x,
-        )
-        scalar = HalfQSeries.from_terms(QQ, [(0, 1), (exp2, -1)], order2) ** 2
-        factor = [entry * scalar for entry in xseries_inverse(denom, n_x)]
-        series = xseries_mul(series, factor, n_x)
-    # exterior-power factors at +-q^(h/2)
+        series = xseries_mul(series, xseries_inverse(cosh_form(2 * n, -1), n_u), n_u)
     for exp2, sign in lambda_factors:
-        numer = xseries_mul(
-            _one_plus_exp_q(c, sign, exp2, order2, n_x),
-            _one_plus_exp_q(-c, sign, exp2, order2, n_x),
-            n_x,
-        )
-        scalar_inv = (
-            HalfQSeries.from_terms(QQ, [(0, 1), (exp2, sign)], order2) ** 2
-        ).inverse()
-        series = xseries_mul(series, [entry * scalar_inv for entry in numer], n_x)
-    for i in range(1, n_x, 2):
-        if series[i]:
-            raise ArithmeticError("theta-quotient pair factor must be even in x")
-    return tuple(series[0::2][: max_weight + 1])
+        series = xseries_mul(series, cosh_form(exp2, sign), n_u)
+    return tuple(series)
 
 
 @lru_cache(maxsize=None)
@@ -271,14 +249,13 @@ def p_form(
         raise ValueError(f"unknown route {route!r}")
     u_coeffs = theta_quotient_pair_series(kind, l_variant, order2, profile.max_weight)
     comp = product_over_root_pairs(u_coeffs, profile, HalfQSeries.one(QQ, order2))
-    out_order2 = min([order2] + [c.order2 for c in comp.values()])
     coeffs = {}
-    for exp2 in range(out_order2):
+    for exp2 in range(order2):
         cls = GradedClass(
             profile, {mon: qc.coefficient(exp2) for mon, qc in comp.items()}
         )
         coeffs[exp2] = cls.degree_component(degree)
-    return HalfQSeries(ring, coeffs, out_order2)
+    return HalfQSeries(ring, coeffs, order2)
 
 
 # -- symbolic verifications --------------------------------------------------

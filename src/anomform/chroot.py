@@ -10,9 +10,12 @@ degree (p_i has form degree 4i).
 Products and sums of a univariate series over all roots are computed via
 even power sums and Newton's identities rather than by expanding in the
 roots themselves: log prod f(x_j) = sum log f(x_j) is a series in
-s_2, s_4, ..., which keeps nine root pairs cheap.  The same pipeline runs
-over any coefficient ring (rationals here; q-series elsewhere), which is
-what the theta-quotient product route relies on.
+s_2, s_4, ..., which keeps nine root pairs cheap.  The log of an even series
+f in u = x^2 is taken in one pass: with g = f/f(0) and log g = sum L_k u^k,
+u g' = g (u log g)' gives k L_k = k g_k - sum_(0<j<k) j L_j g_(k-j), so
+weight w costs O(w^2) coefficient products.  The same pipeline runs over
+any coefficient ring (rationals here; q-series elsewhere), which is what
+the theta-quotient product route relies on.
 
 Every ring product goes through one weight-graded kernel
 (``_graded_product``, after the weight grading of Hirzebruch, Berger and
@@ -433,7 +436,7 @@ def xseries_inverse(a: list, n: int) -> list:
     for k in range(1, n):
         acc = zero
         for i in range(1, min(k, len(a) - 1) + 1):
-            if i < len(a) and a[i]:
+            if a[i]:
                 acc = acc + a[i] * out[k - i]
         out[k] = -(c0_inv * acc)
     return out
@@ -502,28 +505,24 @@ def product_over_root_pairs(
     if not f0:
         raise ValueError("series must have a nonzero constant term")
     f0_inv = invert_scalar(f0)
-    zero = one * 0
-    # u-series of f/f0 - 1 (zero constant term)
-    g = [zero] + [c * f0_inv for c in u_coeffs[1 : w_max + 1]]
-    # log(1 + g) as a u-series up to weight w_max
-    log_u = [zero] * (w_max + 1)
-    gpow = g
-    for j in range(1, w_max + 1):
-        sign = Fraction(1, j) if j % 2 == 1 else Fraction(-1, j)
-        for k in range(j, w_max + 1):
-            if gpow[k]:
-                log_u[k] = log_u[k] + gpow[k] * sign
-        if j < w_max:
-            gpow = xseries_mul(gpow, g, w_max + 1)
-    # sum over pairs: substitute u -> power sums
+    # one-pass log of g = f/f0 (module doc), kept as M_k = k L_k:
+    # M_k = k g_k - sum_(0<j<k) M_j g_(k-j)
+    g = [c * f0_inv for c in u_coeffs[: w_max + 1]]
+    m_log = [None] * (w_max + 1)
+    for k in range(1, w_max + 1):
+        mk = g[k] * k
+        for j in range(1, k):
+            if m_log[j] and g[k - j]:
+                mk = mk - m_log[j] * g[k - j]
+        m_log[k] = mk
+    # sum over pairs: substitute u^k -> power sums, L_k = M_k / k
     psums = power_sums(profile, w_max)
     acc: dict = {}
     for k in range(1, w_max + 1):
-        hk = log_u[k]
-        if not hk:
+        if not m_log[k]:
             continue
         for mon, c in psums[k - 1].items():
-            term = hk * c
+            term = m_log[k] * (c / k)
             acc[mon] = acc[mon] + term if mon in acc else term
     acc = {m: c for m, c in acc.items() if c}
     # exponentiate (nilpotent: positive weights only)
@@ -570,7 +569,7 @@ def sum_over_roots(g: list, profile: RootProfile) -> GradedClass:
     result = GradedClass.constant(profile, Fraction(g[0]) * rank)
     psums = power_sums(profile, profile.max_weight)
     for k in range(1, profile.max_weight + 1):
-        c = Fraction(g[2 * k]) if 2 * k < len(g) else Fraction(0)
+        c = Fraction(g[2 * k])
         if c:
             result = result + psums[k - 1] * (2 * c)
     return result

@@ -105,6 +105,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             setattr(config, attr, value)
     config.allow_degenerate = bool(getattr(args, "allow_degenerate", False))
     config.l_variant = normalize_l_variant(config.l_variant)
+    if config.out_format not in ("json", "table"):
+        raise UsageError(f"unknown format {config.out_format!r} (use 'json' or 'table')")
     if config.tolerance <= 0:
         raise UsageError("tolerance must be positive")
     if config.q_order2 is not None and config.q_order2 < 1:
@@ -315,15 +317,16 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> tuple:
                 lambda d=dim: anomaly.corollary_coefficients(d),
             )
     if suite in ("routes", "all"):
-        route_dims = dims or (2, 3, 9, 10, 11, 5, 6, 7)
-        for dim in route_dims:
-            _, m, _ = identity_parameters(dim)
+        kind = getattr(args, "kind", None)
+        for dim in dims or (2, 3, 9, 10, 11, 5, 6, 7):
+            case, m, _ = identity_parameters(dim)
+            if kind and not dims and (case == "b") != (kind in (anomaly.P1, anomaly.P2)):
+                continue  # --kind alone runs on the default dims of its own case
             order2 = config.q_order2 if config.q_order2 is not None else 6
             add(
                 ("routes", dim, m, ""),
                 lambda d=dim, o=order2: anomaly.verify_route_equivalence(
-                    d, kind=getattr(args, "kind", None), order2=o,
-                    l_variant=config.l_variant,
+                    d, kind=kind, order2=o, l_variant=config.l_variant
                 ),
                 order2,
             )

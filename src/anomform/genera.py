@@ -43,8 +43,7 @@ def _even_series(term, x_order: int) -> list:
     """Dense series with x^(2k) coefficient term(k) and zero odd part."""
     out = [Fraction(0)] * x_order
     for k in range(0, (x_order + 1) // 2):
-        if 2 * k < x_order:
-            out[2 * k] = term(k)
+        out[2 * k] = term(k)
     return out
 
 

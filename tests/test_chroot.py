@@ -250,3 +250,20 @@ def test_serialization_roundtrip():
     profile = RootProfile(4, 8)
     cls = GradedClass.one(profile) + p(profile, 1, Fraction(-7, 3)) + p(profile, 2)
     assert GradedClass.from_obj(profile, cls.to_obj()) == cls
+
+
+def test_newton_roundtrip_weight_five():
+    # weight 5 (form degree 20), past the weights <= 3 of the trials above:
+    # every u^k term of the log, k <= 5, carries k - 1 cross terms
+    rng = random.Random(8104)
+    for trial in range(12):
+        n_pairs = rng.randrange(1, 7)
+        has_zero = rng.randrange(2)
+        profile = RootProfile(2 * n_pairs + has_zero, 20)
+        f = random_even_series(rng, 2 * profile.max_weight + 1, unit=(rng.randrange(2) == 0))
+        values = [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(n_pairs)]
+        via_classes = eval_at_roots(product_over_roots(f, profile), values)
+        oracle = direct_product_truncated(f, values, 2 * profile.max_weight)
+        if has_zero:
+            oracle *= f[0]
+        assert via_classes == oracle, f"trial {trial}: {via_classes} != {oracle}"

@@ -169,6 +169,18 @@ def test_verify_routes_respects_l_variant(capsys):
     assert code == 1  # full-angle Theta_1 route diverges past the calibrated term
 
 
+def test_verify_routes_kind_without_dim_runs_its_own_case(capsys):
+    code, out, _ = run(capsys, "verify", "routes", "--kind", "P1", "--l-variant", "half")
+    assert code == 0
+    assert [e["fiber_dim"] for e in results_of(out)] == [2, 3, 9, 10, 11]
+    code, out, _ = run(capsys, "verify", "routes", "--kind", "Q2")
+    assert code == 0
+    assert [e["fiber_dim"] for e in results_of(out)] == [5, 6, 7]
+    # an explicit --dim of the other case is still a usage error
+    code, _, err = run(capsys, "verify", "routes", "--kind", "Q2", "--dim", "2")
+    assert code == 2 and "Q2 requires fiber dimension" in err
+
+
 def test_verify_degenerate_needs_flag(capsys):
     code, _, _ = run(capsys, "verify", "main", "--dim", "1")
     assert code == 1
@@ -232,6 +244,14 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
     config.write_text("no_such_key=1\n")
     code, _, err = run(capsys, "expand", "delta-eps", "--which", "eps2", "--config", str(config))
     assert code == 2 and "unknown config key" in err
+
+
+@pytest.mark.parametrize("value", ("xml", "JSON"))
+def test_bad_config_format_exits_2(tmp_path, capsys, value):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"format={value}\n")
+    code, out, err = run(capsys, "verify", "agw", "--dim", "2", "--config", str(config))
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_report_roundtrip(tmp_path, capsys):

@@ -261,9 +261,7 @@ def p_form(
 # -- symbolic verifications --------------------------------------------------
 
 
-def verify_decomposition_identity(
-    fiber_dim: int, order2: int | None = None, l_variant: str = L_FULL
-) -> IdentityReport:
+def verify_decomposition_identity(fiber_dim: int, order2: int | None = None) -> IdentityReport:
     """Check P_2 (or Q_2) = sum_r {A-roof ch(b_r or z_r)} basis_r in full.
 
     The coefficients come from the matched-window solve; agreement must then

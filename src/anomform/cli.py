@@ -8,7 +8,10 @@ unwritable files, 3 an internal fault (an exact computation raised
 ArithmeticError, TruncationError or SpanError; its traceback goes to
 stderr).  Checks run serially in one process and share its memoised theta
 bundles, modular bases, genera and characteristic series, so each exact
-artifact is built once per identity class and run.
+artifact is built once per identity class and run.  Every exact check of a
+class reads its series at one truncation: --q-order, else the class order
+2m+5.  A verify option that none of the requested suites reads is a usage
+error.
 
 q-orders on the command line are in doubled exponent units (the exp2 of
 q^(exp2/2)) and are exclusive bounds, matching the series representation.
@@ -33,7 +36,7 @@ from .chroot import GradedClass
 from .genera import normalize_l_variant
 from .modforms import SpanError, decomposition_case
 from .qseries import TruncationError, series_text
-from .witten import THETA1, THETA2, default_theta_order2, theta_bundle
+from .witten import THETA1, THETA2, theta_bundle
 
 REPORT_VERSION = 1
 
@@ -261,81 +264,81 @@ def _numeric_reports(args: argparse.Namespace, config: RunConfig) -> list:
 
 def cmd_verify(args: argparse.Namespace, config: RunConfig) -> tuple:
     suite = args.suite
+    # options no requested suite reads are usage errors, not silent no-ops
+    if args.kind is not None and suite not in ("routes", "all"):
+        raise UsageError(f"--kind is read only by the routes suite, not {suite}")
+    for flag in ("law", "tau"):
+        if getattr(args, flag) is not None and suite not in ("numeric", "all"):
+            raise UsageError(f"--{flag} is read only by the numeric suite, not {suite}")
+    if config.max_form_degree is not None:
+        raise UsageError("verify does not read max_degree (--max-degree or config key)")
+    if args.m is not None and args.dim is None:
+        raise UsageError("--m needs --dim (it only validates the fiber dimension)")
     tasks = []
-
-    def add(report_key, fn, order2=0):
-        tasks.append((order2, report_key, fn))
-
     dims = [args.dim] if args.dim is not None else None
-    if args.m is not None and args.dim is not None:
+    if args.m is not None:
         try:
             decomposition_case(args.m, args.dim)
         except ValueError as err:
             raise UsageError(str(err))
-    # order2 is the theta-bundle order a task requests; tasks run from the
-    # largest down, so a later, smaller request only truncates the memoised
-    # bundle of its class instead of rebuilding it
+    # tasks run in the order added; each identity class asks for one order
+    # (--q-order, else the class order), so each bundle is built once
     if suite in ("decomposition", "all"):
         for dim in dims or SWEEP_DIMENSIONS:
             _, m, _ = identity_parameters(dim)
-            order2 = config.q_order2 or default_theta_order2(m)
-            if order2 < m + 3:
+            if config.q_order2 is not None and config.q_order2 < m + 3:
                 raise UsageError(
-                    f"q-order {order2} below m+3 = {m + 3} for dim {dim} "
+                    f"q-order {config.q_order2} below m+3 = {m + 3} for dim {dim} "
                     "(matched window plus guards)"
                 )
-            add(
+            tasks.append((
                 ("eq3.12/33", dim, m, ""),
-                lambda d=dim, o=order2: anomaly.verify_decomposition_identity(d, o),
-                order2,
-            )
+                lambda d=dim: anomaly.verify_decomposition_identity(d, config.q_order2),
+            ))
     if suite in ("main", "all"):
         for dim in dims or SWEEP_DIMENSIONS:
             _, m, _ = identity_parameters(dim)
-            add(
+            tasks.append((
                 ("eq3.14/35", dim, m, config.l_variant),
                 lambda d=dim: anomaly.verify_main_identity(d, config.l_variant),
-            )
+            ))
     if suite in ("agw", "all"):
         for dim in dims or (2, 6, 10):
             if dim not in (2, 6, 10):
                 if suite == "agw":
                     raise UsageError(f"agw suite needs --dim 2, 6 or 10, got {dim}")
                 continue
-            add(
+            tasks.append((
                 ("eq1.x", dim, 0, config.l_variant),
                 lambda d=dim: anomaly.verify_agw(d, config.l_variant),
-            )
+            ))
     if suite in ("corollaries", "all"):
         for dim in dims or COROLLARY_DIMENSIONS:
             if dim not in COROLLARY_DIMENSIONS:
                 if suite == "corollaries":
                     raise UsageError(f"no corollary for fiber dimension {dim}")
                 continue
-            add(
+            tasks.append((
                 ("corollary", dim, 0, ""),
                 lambda d=dim: anomaly.corollary_coefficients(d),
-            )
+            ))
     if suite in ("routes", "all"):
-        kind = getattr(args, "kind", None)
+        kind = args.kind
         for dim in dims or (2, 3, 9, 10, 11, 5, 6, 7):
             case, m, _ = identity_parameters(dim)
             if kind and not dims and (case == "b") != (kind in (anomaly.P1, anomaly.P2)):
                 continue  # --kind alone runs on the default dims of its own case
-            order2 = config.q_order2 if config.q_order2 is not None else 6
-            add(
+            tasks.append((
                 ("routes", dim, m, ""),
-                lambda d=dim, o=order2: anomaly.verify_route_equivalence(
-                    d, kind=kind, order2=o, l_variant=config.l_variant
+                lambda d=dim: anomaly.verify_route_equivalence(
+                    d, kind=kind, order2=config.q_order2, l_variant=config.l_variant
                 ),
-                order2,
-            )
+            ))
     if suite in ("numeric", "all"):
-        add(("z-numeric", 0, 0, ""), lambda: _numeric_reports(args, config))
+        tasks.append((("z-numeric", 0, 0, ""), lambda: _numeric_reports(args, config)))
 
-    tasks.sort(key=lambda task: -task[0])  # stable: ties keep their order
     # reports are ordered by key, not by run order
-    outcomes = sorted(((key, fn()) for _, key, fn in tasks), key=lambda kv: kv[0])
+    outcomes = sorted(((key, fn()) for key, fn in tasks), key=lambda kv: kv[0])
     results = []
     for _, obj in outcomes:
         if isinstance(obj, list):

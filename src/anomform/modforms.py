@@ -58,11 +58,10 @@ def _one_minus(exp2: int, sign: int, order2: int) -> HalfQSeries:
 def _nullwert_product(half_sign: int, order2: int) -> HalfQSeries:
     """prod (1 - q^j)(1 + half_sign q^(j-1/2))^2."""
     out = HalfQSeries.one(QQ, order2)
-    for j in range(1, order2 // 2 + 2):
-        if 2 * j < order2:
-            out = out * _one_minus(2 * j, -1, order2)
-        if 2 * j - 1 < order2:
-            out = out * _one_minus(2 * j - 1, half_sign, order2) ** 2
+    for exp2 in range(2, order2, 2):
+        out = out * _one_minus(exp2, -1, order2)
+    for exp2 in range(1, order2, 2):
+        out = out * _one_minus(exp2, half_sign, order2) ** 2
     return out
 
 
@@ -81,10 +80,9 @@ def theta1_nullwert_fourth(order2: int) -> HalfQSeries:
     if order2 < 2:
         return HalfQSeries.zero(QQ, order2)
     body = HalfQSeries.one(QQ, order2 - 1) * 16
-    for j in range(1, (order2 - 1) // 2 + 2):
-        if 2 * j < order2 - 1:
-            body = body * _one_minus(2 * j, -1, order2 - 1) ** 4
-            body = body * _one_minus(2 * j, 1, order2 - 1) ** 8
+    for exp2 in range(2, order2 - 1, 2):
+        body = body * _one_minus(exp2, -1, order2 - 1) ** 4
+        body = body * _one_minus(exp2, 1, order2 - 1) ** 8
     return body.shifted(1)
 
 

@@ -134,16 +134,13 @@ def build_theta_bundle(kind: str, profile: RootProfile, order2: int) -> ThetaBun
         raise ValueError(f"unknown theta bundle kind {kind!r}")
     ring = GradedRing(profile)
     series = HalfQSeries.one(ring, order2)
-    for n in range(1, (order2 - 1) // 2 + 1):
-        series = series * s_t_character(profile, 1, 2 * n, order2)
+    for exp2 in range(2, order2, 2):
+        series = series * s_t_character(profile, 1, exp2, order2)
     if kind == THETA1:
-        for n in range(1, (order2 - 1) // 2 + 1):
-            series = series * lambda_t_character(profile, 1, 2 * n, order2)
+        for exp2 in range(2, order2, 2):
+            series = series * lambda_t_character(profile, 1, exp2, order2)
     else:
-        for n in range(1, (order2 + 1) // 2 + 1):
-            exp2 = 2 * n - 1
-            if exp2 >= order2:
-                break
+        for exp2 in range(1, order2, 2):
             series = series * lambda_t_character(profile, -1, exp2, order2)
     return ThetaBundleSeries(kind, profile, series)
 

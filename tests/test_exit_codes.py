@@ -1,9 +1,12 @@
 """Exit status 1 means only that a check failed: an unwritable --out path or a
 dimension without an identity class is a usage error (2), and an internal
-ArithmeticError, TruncationError or SpanError is exit 3.  Also: decompose
-accepts any positive --q-order, because its solve does not read past q^(m/2)."""
+ArithmeticError, TruncationError or SpanError is exit 3.  So is a verify
+option that none of the requested suites reads.  Also: decompose accepts any
+positive --q-order, because its solve does not read past q^(m/2)."""
 
 import json
+
+import pytest
 
 from anomform import anomaly, modforms
 from anomform.cli import main
@@ -69,3 +72,27 @@ def test_dimension_without_identity_class_exits_2(capsys):
     code, out, err = run(capsys, "verify", "main", "--dim", "4")
     assert (code, out) == (2, "")
     assert err.startswith("error: fiber dimension 4")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    (
+        (("verify", "agw", "--dim", "2", "--kind", "Q1"), "--kind is read only by the routes"),
+        (("verify", "main", "--dim", "10", "--law", "eq3.99", "--tau", "garbage"), "--law"),
+        (("verify", "decomposition", "--dim", "10", "--tau", "0.3+1.2i"), "--tau is read only"),
+        (("verify", "agw", "--dim", "2", "--max-degree", "7"), "does not read max_degree"),
+        (("verify", "main", "--m", "2"), "--m needs --dim"),
+    ),
+)
+def test_verify_option_no_suite_reads_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_verify_max_degree_from_config_file_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("max_degree = 8\n")
+    code, out, err = run(capsys, "verify", "agw", "--dim", "2", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert "does not read max_degree" in err

@@ -50,6 +50,22 @@ def test_verify_all_solves_each_decomposition_once(clear_memos, tmp_path):
     assert modforms.decompose_theta2.cache_info().misses == 6
 
 
+def test_verify_all_computes_each_series_once(clear_memos, tmp_path):
+    argv = ["verify", "all", "--allow-degenerate", "--out", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 0
+    # one K-theory P2/Q2 series per class (6, shared by the decomposition and
+    # route checks at the class order) plus the theta route of b m=0, b m=1, z m=1
+    assert anomaly.p_form.cache_info().misses == 9
+
+
+def test_routes_and_decomposition_share_the_class_order(clear_memos, tmp_path):
+    assert cli.main(["verify", "routes", "--dim", "10", "--out", str(tmp_path / "r.json")]) == 0
+    misses = anomaly.p_form.cache_info().misses
+    assert anomaly.verify_decomposition_identity(10).status == "pass"
+    # both read the K-theory P2 series at the class order 2m+5 = 7
+    assert anomaly.p_form.cache_info().misses == misses
+
+
 def test_second_verify_all_is_byte_identical(clear_memos, tmp_path):
     first, second = tmp_path / "first.json", tmp_path / "second.json"
     argv = ["verify", "all", "--allow-degenerate", "--out"]

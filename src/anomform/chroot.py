@@ -36,8 +36,14 @@ Jung, *Manifolds and Modular Forms*):
 - **Degree-only products.** ``GradedClass.mul_degree`` restricts the window
   to a single weight, so ``(a * b).degree_component(d)`` is computed without
   forming the rest of the product.
+- **Bigraded series kernel.** A q-series over ``GradedRing`` (the Witten
+  bundles) is multiplied by ``GradedRing.series_mul``.  Each operand series
+  is cleared to integers over one denominator; for each output exponent the
+  same buckets, codes and loop accumulate the integer products of every pair
+  of q-terms, and one ``Fraction`` is built per output (exp2, monomial).  No
+  ``GradedClass`` product or sum is formed per pair of q-terms.
 
-The kernel's output is already clean (trimmed, in range, nonzero), so it is
+The kernels' output is already clean (trimmed, in range, nonzero), so it is
 wrapped into a ``GradedClass`` without another normalisation pass.
 """
 
@@ -46,9 +52,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial
 
-from .qseries import TruncationError, power
+from .qseries import TruncationError, integer_numerators, power
 
 
 @dataclass(frozen=True)
@@ -113,6 +119,30 @@ def _code_mon(code: int, base: int) -> tuple:
     return tuple(mon)
 
 
+def _weight_buckets(b: dict, base: int, w_hi: int) -> list:
+    """The right operand as code -> coefficient dicts, one bucket per weight."""
+    buckets = [{} for _ in range(w_hi + 1)]
+    for m, c in b.items():
+        w = monomial_weight(m)
+        if w <= w_hi:
+            buckets[w][_mon_code(m, base)] = c
+    return buckets
+
+
+def _accumulate(acc: dict, a: dict, buckets: list, base: int, w_lo: int, w_hi: int):
+    """acc[code] += every product of `a` with the buckets of weight w_lo..w_hi."""
+    for m1, c1 in a.items():
+        w1 = monomial_weight(m1)
+        if w1 > w_hi:
+            continue
+        k1 = _mon_code(m1, base)
+        for bucket in buckets[max(w_lo - w1, 0) : w_hi - w1 + 1]:
+            for k2, c2 in bucket.items():
+                k = k1 + k2
+                prod = c1 * c2
+                acc[k] = acc[k] + prod if k in acc else prod
+
+
 def _graded_product(a: dict, b: dict, w_lo: int, w_hi: int) -> dict:
     """Monomial-dict product keeping only weights w_lo..w_hi.
 
@@ -127,27 +157,11 @@ def _graded_product(a: dict, b: dict, w_lo: int, w_hi: int) -> dict:
         type(c) is Fraction for c in b.values()
     )
     if exact:
-        den_a = lcm(*[c.denominator for c in a.values()])
-        den_b = lcm(*[c.denominator for c in b.values()])
-        a = {m: c.numerator * (den_a // c.denominator) for m, c in a.items()}
-        b = {m: c.numerator * (den_b // c.denominator) for m, c in b.items()}
+        (a,), den_a = integer_numerators([a])
+        (b,), den_b = integer_numerators([b])
     base = w_hi + 1
-    buckets = [[] for _ in range(w_hi + 1)]  # right operand by weight
-    for m, c in b.items():
-        w = monomial_weight(m)
-        if w <= w_hi:
-            buckets[w].append((_mon_code(m, base), c))
     acc = {}
-    for m1, c1 in a.items():
-        w1 = monomial_weight(m1)
-        if w1 > w_hi:
-            continue
-        k1 = _mon_code(m1, base)
-        for bucket in buckets[max(w_lo - w1, 0) : w_hi - w1 + 1]:
-            for k2, c2 in bucket:
-                k = k1 + k2
-                prod = c1 * c2
-                acc[k] = acc[k] + prod if k in acc else prod
+    _accumulate(acc, a, _weight_buckets(b, base, w_hi), base, w_lo, w_hi)
     if exact:
         den = den_a * den_b
         return {_code_mon(k, base): Fraction(n, den) for k, n in acc.items() if n}
@@ -383,6 +397,35 @@ class GradedRing:
 
     def invert(self, value: GradedClass) -> GradedClass:
         return value.inverse()
+
+    def series_mul(self, a: dict, b: dict, order2: int) -> dict:
+        """exp2 -> GradedClass product of two series: the bigraded kernel.
+
+        Each operand series is cleared to integers over one denominator;
+        integers are accumulated one output exponent at a time with
+        `_graded_product`'s buckets and codes, and one Fraction is built per
+        output (exp2, monomial).  Returns nonzero classes for exp2 < order2.
+        """
+        if not a or not b:
+            return {}
+        w_hi = self.profile.max_weight
+        base = w_hi + 1
+        a_parts, den_a = integer_numerators([c._comp for c in a.values()])
+        b_parts, den_b = integer_numerators([c._comp for c in b.values()])
+        left = list(zip(a, a_parts))
+        right = {e: _weight_buckets(p, base, w_hi) for e, p in zip(b, b_parts)}
+        den = den_a * den_b
+        out = {}
+        for e in range(order2):
+            acc = {}
+            for e1, part in left:
+                buckets = right.get(e - e1)
+                if buckets is not None:
+                    _accumulate(acc, part, buckets, base, 0, w_hi)
+            comp = {_code_mon(k, base): Fraction(n, den) for k, n in acc.items() if n}
+            if comp:
+                out[e] = GradedClass._wrap(self.profile, comp)
+        return out
 
     def coeff_to_obj(self, value: GradedClass) -> list:
         return value.to_obj()

@@ -270,6 +270,8 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> tuple:
     for flag in ("law", "tau"):
         if getattr(args, flag) is not None and suite not in ("numeric", "all"):
             raise UsageError(f"--{flag} is read only by the numeric suite, not {suite}")
+    if args.dim is not None and suite == "numeric":
+        raise UsageError("--dim is read by every suite but numeric")
     if config.max_form_degree is not None:
         raise UsageError("verify does not read max_degree (--max-degree or config key)")
     if args.m is not None and args.dim is None:

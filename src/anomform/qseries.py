@@ -8,13 +8,22 @@ with exp2 >= order2 are unknown, not zero.
 Coefficients come from a pluggable commutative ring.  The rationals are
 provided here (``QQ``); the graded characteristic-class ring, which also
 carries the virtual characters, plugs in the same small protocol (``zero``,
-``one``, ``coerce``, ``invert``) from its own module.  No floating point is used
-anywhere in this module.
+``one``, ``coerce``, ``invert``, ``series_mul``) from its own module.  No
+floating point is used anywhere in this module.
+
+Series products have integer numerators: ``HalfQSeries.__mul__`` fixes the
+result's ``order2`` and hands both coefficient dicts to the ring's
+``series_mul`` kernel.  A kernel clears each operand to integers over one
+common denominator (``integer_numerators``), convolves the integers, and
+builds one coefficient per output exponent, so no rational is formed per
+pair of terms.  ``QQ``'s kernel is here; the graded ring's multiplies the
+p-monomials of every pair of q-terms in the same integer loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class RingMismatchError(ValueError):
@@ -23,6 +32,14 @@ class RingMismatchError(ValueError):
 
 class TruncationError(ValueError):
     """A coefficient beyond the truncation order was requested or needed."""
+
+
+def integer_numerators(parts: list) -> tuple:
+    """Dicts of Fractions over one common denominator: (integer dicts, den)."""
+    den = lcm(*[c.denominator for part in parts for c in part.values()])
+    return [
+        {k: c.numerator * (den // c.denominator) for k, c in part.items()} for part in parts
+    ], den
 
 
 class RationalRing:
@@ -47,6 +64,23 @@ class RationalRing:
         if not value:
             raise ZeroDivisionError("constant term is zero, series not invertible")
         return Fraction(1) / value
+
+    def series_mul(self, a: dict, b: dict, order2: int) -> dict:
+        """exp2 -> coefficient product of two series, exponents below order2."""
+        if not a or not b:
+            return {}
+        (a,), den_a = integer_numerators([a])
+        (b,), den_b = integer_numerators([b])
+        acc = [0] * order2
+        right = sorted(b.items())
+        for e1, n1 in a.items():
+            for e2, n2 in right:
+                e = e1 + e2
+                if e >= order2:
+                    break
+                acc[e] += n1 * n2
+        den = den_a * den_b
+        return {e: Fraction(n, den) for e, n in enumerate(acc) if n}
 
     def coeff_to_obj(self, value: Fraction) -> str:
         return str(value)
@@ -245,15 +279,9 @@ class HalfQSeries:
         # Unknown terms of self start at self.order2; against other's lowest
         # term they pollute exponents from self.order2 + other.val2 on.
         order2 = min(self.order2 + other.val2, other.order2 + self.val2)
-        coeffs = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                if e >= order2:
-                    continue
-                prod = c1 * c2
-                coeffs[e] = coeffs[e] + prod if e in coeffs else prod
-        return HalfQSeries(self.ring, coeffs, order2)
+        return HalfQSeries(
+            self.ring, self.ring.series_mul(self._coeffs, other._coeffs, order2), order2
+        )
 
     def __rmul__(self, other):
         return self.__mul__(other)

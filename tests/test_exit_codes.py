@@ -82,6 +82,10 @@ def test_dimension_without_identity_class_exits_2(capsys):
         (("verify", "decomposition", "--dim", "10", "--tau", "0.3+1.2i"), "--tau is read only"),
         (("verify", "agw", "--dim", "2", "--max-degree", "7"), "does not read max_degree"),
         (("verify", "main", "--m", "2"), "--m needs --dim"),
+        (
+            ("verify", "numeric", "--dim", "4", "--law", "eq3.5", "--tau", "0.3+1.2i"),
+            "--dim is read by every suite but numeric",
+        ),
     ),
 )
 def test_verify_option_no_suite_reads_exits_2(capsys, argv, message):

@@ -1,4 +1,4 @@
-"""The graded-ring product kernel against schoolbook oracles."""
+"""The graded-ring and q-series product kernels against schoolbook oracles."""
 
 import random
 from fractions import Fraction
@@ -7,6 +7,7 @@ import pytest
 
 from anomform.chroot import (
     GradedClass,
+    GradedRing,
     RootProfile,
     even_part,
     product_over_root_pairs,
@@ -144,3 +145,134 @@ def test_generic_coefficients_agree_with_rational_path(dim):
     ) == product_over_roots(f, profile)
     for exp2 in range(1, order2):
         assert all(not qc.coefficient(exp2) for qc in comp.values())
+
+
+# -- q-series kernels (QQ and GradedRing) -----------------------------------
+
+
+def schoolbook_series(a, b):
+    """Every pair of q-terms multiplied in the coefficient ring, then summed."""
+    order2 = min(a.order2 + b.val2, b.order2 + a.val2)
+    coeffs = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            if e < order2:
+                coeffs[e] = coeffs[e] + c1 * c2 if e in coeffs else c1 * c2
+    return HalfQSeries(a.ring, coeffs, order2)
+
+
+def random_rational(rng):
+    if rng.random() < 0.3:
+        return rng.choice(SPECIAL)
+    return Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 3, 4, 6, 7, 12)))
+
+
+def random_series(rng, ring, order2, val2, coefficient):
+    """A series with valuation exactly val2 (when val2 < order2)."""
+    terms = [(val2, coefficient())] if val2 < order2 else []
+    terms += [(e, coefficient()) for e in range(val2 + 1, order2) if rng.random() < 0.7]
+    series = HalfQSeries.from_terms(ring, terms, order2)
+    while val2 < order2 and series.val2 != val2:  # the valuation term drew a zero
+        series = series + HalfQSeries.monomial(ring, val2, ring.one, order2)
+    return series
+
+
+def series_pairs(rng, ring, coefficient):
+    """Mixed orders and valuations, so the valuation window sets order2."""
+    pairs = []
+    for order_a, val_a, order_b, val_b in (
+        (9, 0, 9, 0),
+        (7, 2, 11, 0),
+        (6, 1, 9, 3),
+        (12, 5, 5, 2),
+    ):
+        a = random_series(rng, ring, order_a, val_a, coefficient)
+        b = random_series(rng, ring, order_b, val_b, coefficient)
+        pairs.append((a, b))
+    pairs.append((HalfQSeries.zero(ring, 7), pairs[0][1]))
+    pairs.append((pairs[1][0], HalfQSeries.zero(ring, 4)))
+    pairs.append((HalfQSeries.one(ring, 9), pairs[2][1]))
+    return pairs
+
+
+def assert_canonical(series):
+    for exp2, c in series.items():
+        assert exp2 < series.order2
+        assert c, f"stored zero coefficient at exp2={exp2}"
+        if isinstance(c, GradedClass):
+            assert all(v for _, v in c.items())
+        else:
+            assert type(c) is Fraction
+
+
+def assert_kernel_matches(a, b):
+    want = schoolbook_series(a, b)
+    for got in (a * b, b * a):
+        assert got == want
+        assert got.order2 == want.order2
+        assert got.to_obj() == want.to_obj()
+        assert_canonical(got)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rational_series_kernel_matches_schoolbook(seed):
+    rng = random.Random(3000 + seed)
+    for a, b in series_pairs(rng, QQ, lambda: random_rational(rng)):
+        assert_kernel_matches(a, b)
+
+
+@pytest.mark.parametrize("profile", PROFILES[:3], ids=lambda p: f"dim{p.fiber_dim}")
+def test_graded_series_kernel_matches_schoolbook(profile):
+    rng = random.Random(4000 + profile.fiber_dim)
+    ring = GradedRing(profile)
+    for a, b in series_pairs(rng, ring, lambda: random_class(rng, profile, density=0.4)):
+        assert_kernel_matches(a, b)
+
+
+def test_rational_series_kernel_cancellation():
+    t = Fraction(1, 2)
+    a = HalfQSeries.from_terms(QQ, [(0, Fraction(1, 3)), (1, t)], 6)
+    b = HalfQSeries.from_terms(QQ, [(0, Fraction(1, 3)), (1, -t)], 6)
+    got = a * b
+    assert got == HalfQSeries.from_terms(QQ, [(0, Fraction(1, 9)), (2, Fraction(-1, 4))], 6)
+    assert [e for e, _ in got.items()] == [0, 2]
+    assert_kernel_matches(a, b)
+
+
+def test_graded_series_kernel_cancellation():
+    """(U + V t)(U' - V' t) with U V' = V U': the t-term cancels to an empty
+    class, and p1 cancels inside the constant class (1 + p1)(1 - p1)."""
+    profile = RootProfile(19, 20)
+    ring = GradedRing(profile)
+    p1 = GradedClass.p(profile, 1)
+    w = GradedClass.p(profile, 2, Fraction(-3, 7)) + Fraction(5, 2)
+    u, u_ = 1 + p1, 1 - p1
+    a = HalfQSeries(ring, {0: u, 1: u * w}, 5)
+    b = HalfQSeries(ring, {0: u_, 1: -(u_ * w)}, 5)
+    got = a * b
+    assert [e for e, _ in got.items()] == [0, 2]
+    assert got.coefficient(0) == 1 - p1 * p1
+    assert got.coefficient(0).coefficient((1,)) == 0
+    assert_kernel_matches(a, b)
+
+
+def test_graded_series_product_makes_no_class_product(monkeypatch):
+    """Bundle assembly multiplies q-series over GradedRing: the bigraded
+    kernel forms no GradedClass product per pair of q-terms."""
+    profile = RootProfile(19, 20)
+    ring = GradedRing(profile)
+    rng = random.Random(5)
+    a, b = series_pairs(rng, ring, lambda: random_class(rng, profile, density=0.4))[0]
+    calls = []
+    original = GradedClass.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(GradedClass, "__mul__", counting)
+    got = a * b
+    assert calls == []
+    assert got == schoolbook_series(a, b)
+    assert calls  # the oracle does go through GradedClass.__mul__

@@ -248,14 +248,9 @@ def p_form(
     if route != ROUTE_THETA:
         raise ValueError(f"unknown route {route!r}")
     u_coeffs = theta_quotient_pair_series(kind, l_variant, order2, profile.max_weight)
-    comp = product_over_root_pairs(u_coeffs, profile, HalfQSeries.one(QQ, order2))
-    coeffs = {}
-    for exp2 in range(order2):
-        cls = GradedClass(
-            profile, {mon: qc.coefficient(exp2) for mon, qc in comp.items()}
-        )
-        coeffs[exp2] = cls.degree_component(degree)
-    return HalfQSeries(ring, coeffs, order2)
+    return product_over_root_pairs(u_coeffs, profile).map_coefficients(
+        lambda c: c.degree_component(degree), ring
+    )
 
 
 # -- symbolic verifications --------------------------------------------------

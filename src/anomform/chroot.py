@@ -13,9 +13,11 @@ roots themselves: log prod f(x_j) = sum log f(x_j) is a series in
 s_2, s_4, ..., which keeps nine root pairs cheap.  The log of an even series
 f in u = x^2 is taken in one pass: with g = f/f(0) and log g = sum L_k u^k,
 u g' = g (u log g)' gives k L_k = k g_k - sum_(0<j<k) j L_j g_(k-j), so
-weight w costs O(w^2) coefficient products.  The same pipeline runs over
-any coefficient ring (rationals here; q-series elsewhere), which is what
-the theta-quotient product route relies on.
+weight w costs O(w^2) coefficient products.  The u-coefficients of f are
+rational q-series (the theta-quotient route; constant series for the
+rational genera), and a product over roots is one q-series over
+``GradedRing``: X = sum_k L_k S_k is assembled one q-power at a time and
+its exponential is built by bigraded series products.
 
 Every ring product goes through one weight-graded kernel
 (``_graded_product``, after the weight grading of Hirzebruch, Berger and
@@ -27,21 +29,20 @@ Jung, *Manifolds and Modular Forms*):
   pairs above the truncation are never formed.  Monomials travel through
   the loop as integer codes (exponents as base-(top weight + 1) digits), so
   a monomial product is one integer addition.
-- **Integer numerators.** When both operands carry ``Fraction``
-  coefficients, each is cleared to integers over its common denominator
-  once; the loop multiplies and accumulates integers, and one ``Fraction``
-  is built per output monomial.  Any other coefficient ring (the q-series
-  values of the theta-quotient route) runs the same loop with its own
-  arithmetic.
+- **Integer numerators.** Coefficients are ``Fraction``s; each operand is
+  cleared to integers over its common denominator once, the loop
+  multiplies and accumulates integers, and one ``Fraction`` is built per
+  output monomial.
 - **Degree-only products.** ``GradedClass.mul_degree`` restricts the window
   to a single weight, so ``(a * b).degree_component(d)`` is computed without
   forming the rest of the product.
 - **Bigraded series kernel.** A q-series over ``GradedRing`` (the Witten
-  bundles) is multiplied by ``GradedRing.series_mul``.  Each operand series
-  is cleared to integers over one denominator; for each output exponent the
-  same buckets, codes and loop accumulate the integer products of every pair
-  of q-terms, and one ``Fraction`` is built per output (exp2, monomial).  No
-  ``GradedClass`` product or sum is formed per pair of q-terms.
+  bundles, the root products) is multiplied by ``GradedRing.series_mul``.
+  Each operand series is cleared to integers over one denominator; for each
+  output exponent the same buckets, codes and loop accumulate the integer
+  products of every pair of q-terms, and one ``Fraction`` is built per
+  output (exp2, monomial).  No ``GradedClass`` product or sum is formed per
+  pair of q-terms.
 
 The kernels' output is already clean (trimmed, in range, nonzero), so it is
 wrapped into a ``GradedClass`` without another normalisation pass.
@@ -52,9 +53,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
-from .qseries import TruncationError, integer_numerators, power
+from .qseries import QQ, HalfQSeries, TruncationError, integer_numerators, power
 
 
 @dataclass(frozen=True)
@@ -153,19 +153,13 @@ def _graded_product(a: dict, b: dict, w_lo: int, w_hi: int) -> dict:
     """
     if not a or not b:
         return {}
-    exact = all(type(c) is Fraction for c in a.values()) and all(
-        type(c) is Fraction for c in b.values()
-    )
-    if exact:
-        (a,), den_a = integer_numerators([a])
-        (b,), den_b = integer_numerators([b])
+    (a,), den_a = integer_numerators([a])
+    (b,), den_b = integer_numerators([b])
     base = w_hi + 1
     acc = {}
     _accumulate(acc, a, _weight_buckets(b, base, w_hi), base, w_lo, w_hi)
-    if exact:
-        den = den_a * den_b
-        return {_code_mon(k, base): Fraction(n, den) for k, n in acc.items() if n}
-    return {_code_mon(k, base): c for k, c in acc.items() if c}
+    den = den_a * den_b
+    return {_code_mon(k, base): Fraction(n, den) for k, n in acc.items() if n}
 
 
 class GradedClass:
@@ -366,13 +360,6 @@ class GradedClass:
             {"monomial": list(m), "coef": str(c)} for m, c in self.items()
         ]
 
-    @classmethod
-    def from_obj(cls, profile: RootProfile, obj: list) -> "GradedClass":
-        return cls(
-            profile,
-            {tuple(entry["monomial"]): Fraction(entry["coef"]) for entry in obj},
-        )
-
 
 class GradedRing:
     """Coefficient-ring adapter so HalfQSeries can carry GradedClass values."""
@@ -430,9 +417,6 @@ class GradedRing:
     def coeff_to_obj(self, value: GradedClass) -> list:
         return value.to_obj()
 
-    def coeff_from_obj(self, obj) -> GradedClass:
-        return GradedClass.from_obj(self.profile, obj)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GradedRing) and self.profile == other.profile
 
@@ -443,7 +427,7 @@ class GradedRing:
         return f"GradedRing({self.profile.fiber_dim}, deg<={self.profile.max_form_degree})"
 
 
-# -- univariate x-series helpers (dense lists, generic coefficients) --------
+# -- univariate x-series helpers (dense lists of rationals or q-series) -----
 
 
 def invert_scalar(c):
@@ -532,62 +516,49 @@ def elementary_from_power_sums(psums: list, k_max: int, one):
 
 
 def product_over_root_pairs(
-    u_coeffs: list, profile: RootProfile, one, include_zero_root: bool = True
-) -> dict:
+    u_coeffs: list, profile: RootProfile, include_zero_root: bool = True
+) -> HalfQSeries:
     """prod over root pairs of f(x_j), times f(0) for a zero root.
 
-    `u_coeffs` are the coefficients of the even series f in u = x^2 (so
-    u_coeffs[k] multiplies x^(2k)), over any coefficient ring containing
-    `one`.  Returns a p-monomial -> coefficient dict truncated at the
-    profile's weight.  Computed as f(0)^r * exp(sum_j log(f/f(0))(x_j)).
+    `u_coeffs` are the rational q-series coefficients of the even series f
+    in u = x^2 (so u_coeffs[k] multiplies x^(2k)).  Returns a q-series over
+    ``GradedRing(profile)``, truncated at the profile's weight.  Computed as
+    f(0)^r * exp(X) with X = sum_k L_k S_k the sum over pairs of
+    log(f/f(0)); every product of the exponential is a bigraded series
+    product.
     """
     w_max = profile.max_weight
     if len(u_coeffs) < w_max + 1:
         raise ValueError("insufficient input truncation for the requested form degree")
     f0 = u_coeffs[0]
-    if not f0:
+    if not f0.coefficient(0):
         raise ValueError("series must have a nonzero constant term")
-    f0_inv = invert_scalar(f0)
     # one-pass log of g = f/f0 (module doc), kept as M_k = k L_k:
     # M_k = k g_k - sum_(0<j<k) M_j g_(k-j)
+    f0_inv = f0.inverse()
     g = [c * f0_inv for c in u_coeffs[: w_max + 1]]
     m_log = [None] * (w_max + 1)
     for k in range(1, w_max + 1):
-        mk = g[k] * k
-        for j in range(1, k):
-            if m_log[j] and g[k - j]:
-                mk = mk - m_log[j] * g[k - j]
-        m_log[k] = mk
-    # sum over pairs: substitute u^k -> power sums, L_k = M_k / k
+        m_log[k] = g[k] * k - sum(m_log[j] * g[k - j] for j in range(1, k))
+    # sum over pairs, one exp2 at a time: X_e = sum_k (M_k)_e / k * S_k
+    ring = GradedRing(profile)
     psums = power_sums(profile, w_max)
-    acc: dict = {}
-    for k in range(1, w_max + 1):
-        if not m_log[k]:
-            continue
-        for mon, c in psums[k - 1].items():
-            term = m_log[k] * (c / k)
-            acc[mon] = acc[mon] + term if mon in acc else term
-    acc = {m: c for m, c in acc.items() if c}
-    # exponentiate (nilpotent: positive weights only)
-    result = {(): one}
-    term = {(): one}
+    order2 = min(c.order2 for c in g)
+    x = {}
+    for e in range(order2):
+        x[e] = sum((s * (m_log[k].coefficient(e) / k) for k, s in enumerate(psums, 1)), ring.zero)
+    x = HalfQSeries(ring, x, order2)
+    # exponentiate (nilpotent: positive weights only) from the overall
+    # constant: one factor f0 per pair, plus one for a zero root
+    exponent = profile.n_pairs + (1 if include_zero_root and profile.has_zero_root else 0)
+    result = term = (f0**exponent).lift_to(ring)
     for j in range(1, w_max + 1):
-        term = _graded_product(term, acc, 0, w_max)
+        inv_j = Fraction(1, j)
+        term = (term * x).map_coefficients(lambda c: c * inv_j, ring)
         if not term:
             break
-        inv_fact = Fraction(1, factorial(j))
-        for m, c in term.items():
-            add = c * inv_fact
-            result[m] = result[m] + add if m in result else add
-    # overall constant: one factor f0 per pair, plus one for a zero root
-    exponent = profile.n_pairs + (1 if include_zero_root and profile.has_zero_root else 0)
-    scale = f0**exponent
-    scaled = {}
-    for m, c in result.items():
-        cs = c * scale
-        if cs:
-            scaled[m] = cs
-    return scaled
+        result = result + term
+    return result
 
 
 def product_over_roots(
@@ -596,9 +567,8 @@ def product_over_roots(
     """prod over the root multiset of an even rational series f(x)."""
     if len(f) < 2 * profile.max_weight + 1:
         raise ValueError("insufficient input truncation for the requested form degree")
-    u_coeffs = [Fraction(c) for c in even_part(list(f))]
-    comp = product_over_root_pairs(u_coeffs, profile, Fraction(1), include_zero_root)
-    return GradedClass(profile, comp)
+    u_coeffs = [HalfQSeries(QQ, {0: Fraction(c)}, 1) for c in even_part(list(f))]
+    return product_over_root_pairs(u_coeffs, profile, include_zero_root).coefficient(0)
 
 
 def sum_over_roots(g: list, profile: RootProfile) -> GradedClass:

@@ -206,25 +206,13 @@ def _solve(f: HalfQSeries, weight: int):
     return xs, recon
 
 
-def basis_decompose(f, weight: int | None = None) -> list:
-    """Coefficients of f in the modular monomial basis, verified in full.
+def basis_decompose(f: HalfQSeries, weight: int) -> list:
+    """Coefficients of the weight-`weight` series f in the modular monomial basis.
 
-    Accepts a raw series plus weight, or a tagged ModularFormSeries over
-    the upper level-2 subgroup.  The matched window determines the
-    coefficients; the reconstruction must then agree with f through f's
-    entire truncation (the series-level modularity statement).  Raises
-    SpanError at the first failing exponent.
+    The matched window determines the coefficients; the reconstruction must
+    then agree with f through f's entire truncation (the series-level
+    modularity statement).  Raises SpanError at the first failing exponent.
     """
-    if isinstance(f, ModularFormSeries):
-        if f.group != GAMMA0_UPPER:
-            raise ValueError(f"basis decomposition needs a {GAMMA0_UPPER} form")
-        if weight is None:
-            weight = f.weight
-        elif weight != f.weight:
-            raise ValueError(f"weight {weight} contradicts the form's tag {f.weight}")
-        f = f.series
-    if weight is None:
-        raise ValueError("weight is required for untagged series")
     xs, recon = _solve(f, weight)
     for exp2 in range(f.order2):
         if f.coefficient(exp2) != recon.coefficient(exp2):

@@ -6,9 +6,11 @@ carries an exclusive truncation bound ``order2`` in the same units: terms
 with exp2 >= order2 are unknown, not zero.
 
 Coefficients come from a pluggable commutative ring.  The rationals are
-provided here (``QQ``); the graded characteristic-class ring, which also
-carries the virtual characters, plugs in the same small protocol (``zero``,
-``one``, ``coerce``, ``invert``, ``series_mul``) from its own module.  No
+provided here (``QQ``); the graded characteristic-class ring plugs in the
+same small protocol (``zero``, ``one``, ``coerce``, ``invert``,
+``series_mul``, ``coeff_to_obj``) from its own module.  A q-series of
+characteristic forms is always a series over that ring: the Witten bundles'
+virtual characters and the theta-quotient root products alike.  No
 floating point is used anywhere in this module.
 
 Series products have integer numerators: ``HalfQSeries.__mul__`` fixes the
@@ -84,9 +86,6 @@ class RationalRing:
 
     def coeff_to_obj(self, value: Fraction) -> str:
         return str(value)
-
-    def coeff_from_obj(self, obj) -> Fraction:
-        return Fraction(obj)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalRing)
@@ -222,24 +221,6 @@ class HalfQSeries:
 
     __hash__ = None
 
-    def agrees_with(self, other: "HalfQSeries", through2: int | None = None) -> bool:
-        """Exact coefficient agreement on the common (or given) window."""
-        if self.ring != other.ring:
-            raise RingMismatchError("cannot compare series over different rings")
-        bound = min(self.order2, other.order2)
-        if through2 is not None:
-            if through2 > bound:
-                raise TruncationError("comparison window exceeds available truncation")
-            bound = through2
-        for exp2 in set(self._coeffs) | set(other._coeffs):
-            if exp2 >= bound:
-                continue
-            if self._coeffs.get(exp2, self.ring.zero) != other._coeffs.get(
-                exp2, self.ring.zero
-            ):
-                return False
-        return True
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_ring(self, other: "HalfQSeries"):
@@ -355,11 +336,3 @@ class HalfQSeries:
         return [
             {"exp2": exp2, "coef": self.ring.coeff_to_obj(c)} for exp2, c in self.items()
         ]
-
-    @classmethod
-    def from_obj(cls, ring, obj: list, order2: int) -> "HalfQSeries":
-        return cls(
-            ring,
-            {entry["exp2"]: ring.coeff_from_obj(entry["coef"]) for entry in obj},
-            order2,
-        )

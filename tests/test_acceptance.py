@@ -181,8 +181,10 @@ def test_criterion_9_property_suites(capsys, clear_memos):
         for _ in range(100):
             a, b, c = rand_series(), rand_series(), rand_series()
             assert (a + b) + c == a + (b + c)
-            assert (a * b).agrees_with(b * a)
-            assert (a * (b + c)).agrees_with(a * b + a * c)
+            assert a * b == b * a
+            left, right = a * (b + c), a * b + a * c
+            k = min(left.order2, right.order2)
+            assert left.truncate(k) == right.truncate(k)
 
         # exterior/symmetric duality per factor bundle and q-power
         from anomform.chroot import GradedRing
@@ -192,7 +194,7 @@ def test_criterion_9_property_suites(capsys, clear_memos):
         for exp2 in (1, 2, 3):
             s = s_t_character(profile, 1, exp2, 8)
             lam = lambda_t_character(profile, -1, exp2, 8)
-            assert (s * lam).agrees_with(one)
+            assert s * lam == one
 
         # Newton-conversion roundtrip against direct root evaluation
         for _ in range(50):

@@ -9,6 +9,7 @@ from anomform.chroot import (
     GradedClass,
     GradedRing,
     RootProfile,
+    eval_at_roots,
     even_part,
     product_over_root_pairs,
     product_over_roots,
@@ -128,8 +129,8 @@ def test_mismatched_profiles_rejected():
 
 
 @pytest.mark.parametrize("dim", [9, 19])
-def test_generic_coefficients_agree_with_rational_path(dim):
-    """q-series constants run the generic loop; rationals the integer one."""
+def test_constant_q_series_agree_with_product_over_roots(dim):
+    """q-constant u-coefficients give the rational genus at q^0 and nothing above."""
     profile = RootProfile(dim, 4 * (dim // 4) + 4)
     rng = random.Random(dim)
     n_x = 2 * profile.max_weight + 1
@@ -139,12 +140,12 @@ def test_generic_coefficients_agree_with_rational_path(dim):
         f[k] = rng.choice(SPECIAL + [Fraction(rng.randrange(-7, 8), rng.randrange(1, 6))])
     order2 = 3
     lifted = [HalfQSeries.from_terms(QQ, [(0, c)], order2) for c in even_part(f)]
-    comp = product_over_root_pairs(lifted, profile, HalfQSeries.one(QQ, order2))
-    assert GradedClass(
-        profile, {mon: qc.coefficient(0) for mon, qc in comp.items()}
-    ) == product_over_roots(f, profile)
+    got = product_over_root_pairs(lifted, profile)
+    assert got.ring == GradedRing(profile)
+    assert got.order2 == order2
+    assert got.coefficient(0) == product_over_roots(f, profile)
     for exp2 in range(1, order2):
-        assert all(not qc.coefficient(exp2) for qc in comp.values())
+        assert not got.coefficient(exp2)
 
 
 # -- q-series kernels (QQ and GradedRing) -----------------------------------
@@ -276,3 +277,56 @@ def test_graded_series_product_makes_no_class_product(monkeypatch):
     assert calls == []
     assert got == schoolbook_series(a, b)
     assert calls  # the oracle does go through GradedClass.__mul__
+
+
+# -- root-pair product over q-dependent coefficients -------------------------
+
+
+def direct_root_product(u_coeffs, roots, zero_root, w):
+    """prod_j f(x_j) (times f(0) for a zero root) at rational x_j, weights <= w.
+
+    Each root's factor is a polynomial in a weight variable t with q-series
+    coefficients u_k x_j^(2k) t^k; the product is truncated at t^w and then
+    summed over t, i.e. evaluated at t = 1.
+    """
+    one = HalfQSeries.one(QQ, u_coeffs[0].order2)
+    poly = [u_coeffs[0] if zero_root else one]
+    for x in roots:
+        factor = [u * (Fraction(x) ** (2 * k)) for k, u in enumerate(u_coeffs[: w + 1])]
+        out = [HalfQSeries.zero(QQ, one.order2) for _ in range(w + 1)]
+        for i, a in enumerate(poly):
+            for k, b in enumerate(factor[: w + 1 - i]):
+                out[i + k] = out[i + k] + a * b
+        poly = out
+    return sum(poly, HalfQSeries.zero(QQ, one.order2))
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [RootProfile(5, 16), RootProfile(6, 20), RootProfile(9, 12)],
+    ids=lambda p: f"dim{p.fiber_dim}",
+)
+@pytest.mark.parametrize("include_zero_root", [True, False])
+def test_root_pair_product_matches_direct_product_at_rational_roots(profile, include_zero_root):
+    """q-dependent u-coefficients: sum_e q^(e/2) eval_at_roots(coeff_e) is the
+    per-root product of f at seeded rational roots, truncated at weight w."""
+    rng = random.Random(6000 + profile.fiber_dim)
+    order2 = 5
+    w = profile.max_weight
+    # u_0 and u_1 start at q^0, so every power of X reaches the q^0 window
+    valuations = [0, 0] + [rng.randrange(3) for _ in range(w - 1)]
+    u_coeffs = [
+        random_series(rng, QQ, order2, val2, lambda: random_rational(rng)) for val2 in valuations
+    ]
+    got = product_over_root_pairs(u_coeffs, profile, include_zero_root)
+    assert got.ring == GradedRing(profile)
+    assert got.order2 == order2
+    zero_root = include_zero_root and profile.has_zero_root
+    for _ in range(3):
+        roots = [
+            Fraction(rng.randrange(-9, 10), rng.randrange(1, 6)) for _ in range(profile.n_pairs)
+        ]
+        evaluated = HalfQSeries.from_terms(
+            QQ, [(e, eval_at_roots(got.coefficient(e), roots)) for e in range(order2)], order2
+        )
+        assert evaluated == direct_root_product(u_coeffs, roots, zero_root, w)

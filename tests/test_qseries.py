@@ -75,7 +75,7 @@ def test_inverse_alternating_geometric():
 def test_inverse_of_theta2_nullwert():
     t2 = theta2_nullwert(9)  # through q^4
     product = t2.inverse() * t2
-    assert product.agrees_with(HalfQSeries.one(QQ, 9))
+    assert product == HalfQSeries.one(QQ, 9)
 
 
 def test_pow_zero():
@@ -105,10 +105,11 @@ def test_ring_axioms_random():
         a, b, c = (random_series(rng) for _ in range(3))
         assert ((a + b) + c) == (a + (b + c))
         assert (a + b) == (b + a)
-        assert (a * b).agrees_with(b * a)
-        assert ((a * b) * c).agrees_with(a * (b * c))
-        assert (a * (b + c)).agrees_with(a * b + a * c)
-        assert (a * one).agrees_with(a)
+        assert a * b == b * a
+        for left, right in (((a * b) * c, a * (b * c)), (a * (b + c), a * b + a * c)):
+            k = min(left.order2, right.order2)
+            assert left.truncate(k) == right.truncate(k)
+        assert a * one == a
 
 
 def test_inverse_roundtrip_random():
@@ -118,7 +119,7 @@ def test_inverse_roundtrip_random():
         if not a.coefficient(0):
             a = a + 1
         product = a * a.inverse()
-        assert product.agrees_with(HalfQSeries.one(QQ, product.order2))
+        assert product == HalfQSeries.one(QQ, product.order2)
 
 
 def test_truncation_monotonicity():
@@ -167,7 +168,11 @@ def test_serialization_roundtrip():
     eps2 = delta_epsilon("eps2", 9).series
     obj = eps2.to_obj()
     assert obj[0] == {"exp2": 1, "coef": "1"}
-    assert HalfQSeries.from_obj(QQ, obj, 9) == eps2
+    # q^(n/2) carries the sum of d^3 over the divisors d of n with n/d odd
+    assert obj == [
+        {"exp2": n, "coef": str(c)}
+        for n, c in enumerate([1, 8, 28, 64, 126, 224, 344, 512], 1)
+    ]
 
 
 def test_shifted_extends_window():

@@ -12,7 +12,6 @@ from .anomaly import (
     CorollaryVector,
     IdentityReport,
     corollary_coefficients,
-    identity_parameters,
     identity_profile,
     p_form,
     verify_agw,
@@ -28,13 +27,13 @@ from .chroot import (
     product_over_roots,
     sum_over_roots,
 )
-from .genera import a_hat, l_class, spinor_character
+from .genera import a_hat, l_class
 from .modforms import (
-    ModularFormSeries,
     SpanError,
     basis_decompose,
     decompose_theta2,
     delta_epsilon,
+    identity_parameters,
     theta1_nullwert_fourth,
     theta_nullwert,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "GradedRing",
     "HalfQSeries",
     "IdentityReport",
-    "ModularFormSeries",
     "NumericCheckReport",
     "QQ",
     "RingMismatchError",
@@ -81,7 +79,6 @@ __all__ = [
     "p_form",
     "product_over_roots",
     "s_t_character",
-    "spinor_character",
     "sum_over_roots",
     "theta1_nullwert_fourth",
     "theta_eval",

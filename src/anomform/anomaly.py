@@ -8,11 +8,12 @@ three classical gravitational cancellation combinations, and extracts the
 integer corollary vectors.  Everything here is exact rational arithmetic; a
 report either has an empty residual list or names the offending monomials.
 
-Every exact artifact is computed once per identity class: the fiber
-dimensions 8m+1..8m+3 (b case) or 8m-3..8m-1 (z case) at identity degree
-8m+4 or 8m.  At weight w = degree/4 the truncated Pontryagin ring is free
-in p_1..p_w once n_pairs >= w, and a zero root contributes nothing to a
-reduced character, the A-roof or the full-angle L class; so a stable fiber
+Every exact artifact is computed once per identity class, the (case, m,
+degree) that ``modforms.identity_parameters`` assigns a fiber dimension:
+8m+1..8m+3 (b case) or 8m-3..8m-1 (z case) at degree 8m+4 or 8m.  At
+weight w = degree/4 the truncated Pontryagin ring is free in p_1..p_w once
+n_pairs >= w, and a zero root contributes nothing to a reduced character,
+the A-roof or the full-angle L class; so a stable fiber
 is computed on its class representative RootProfile(8m+2 or 8m-2, degree),
 and the dimension d enters only where it is mathematically present: the
 corollary constant beta and the half-angle L constant 2^ceil(d/2).
@@ -44,7 +45,7 @@ from .genera import (
     l_root_series,
     normalize_l_variant,
 )
-from .modforms import SpanError, basis_decompose, decompose_theta2
+from .modforms import SpanError, basis_decompose, decompose_theta2, identity_parameters
 from .qseries import QQ, HalfQSeries
 from .witten import (
     THETA1,
@@ -60,20 +61,6 @@ ROUTE_THETA = "theta_product"
 P1, P2, Q1, Q2 = "P1", "P2", "Q1", "Q2"
 
 CASE_CONSTANTS = {"b": 8, "z": 1}  # overall factor in front of sum 2^(6m-6r)
-
-
-def identity_parameters(fiber_dim: int):
-    """(case, m, identity degree) for a fiber dimension; 'b' carries 8m+4."""
-    r = fiber_dim % 8
-    if r in (1, 2, 3):
-        m = fiber_dim // 8
-        return "b", m, 8 * m + 4
-    if r in (5, 6, 7):
-        m = fiber_dim // 8 + 1
-        return "z", m, 8 * m
-    raise ValueError(
-        f"fiber dimension {fiber_dim} (0 or 4 mod 8) has no identity class here"
-    )
 
 
 def identity_profile(fiber_dim: int, max_form_degree: int | None = None) -> RootProfile:

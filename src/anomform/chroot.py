@@ -318,20 +318,6 @@ class GradedClass:
     def __pow__(self, k: int):
         return power(self, k, GradedClass.one(self.profile))
 
-    def inverse(self) -> "GradedClass":
-        c0 = self.constant_term()
-        if not c0:
-            raise ZeroDivisionError("constant term is zero, class not invertible")
-        u = self.positive_part() * (Fraction(1) / c0)
-        result = GradedClass.one(self.profile)
-        term = GradedClass.one(self.profile)
-        for _ in range(self.profile.max_weight):
-            term = term * (-u)
-            if not term:
-                break
-            result = result + term
-        return result * (Fraction(1) / c0)
-
     # -- presentation ------------------------------------------------------
 
     @staticmethod
@@ -383,7 +369,11 @@ class GradedRing:
         return GradedClass.constant(self.profile, Fraction(value))
 
     def invert(self, value: GradedClass) -> GradedClass:
-        return value.inverse()
+        """1/c for a nonzero constant class c; a class with form content raises."""
+        c0 = value.constant_term()
+        if not c0 or value.positive_part():
+            raise ZeroDivisionError("only a nonzero constant class is inverted")
+        return GradedClass.constant(self.profile, Fraction(1) / c0)
 
     def series_mul(self, a: dict, b: dict, order2: int) -> dict:
         """exp2 -> GradedClass product of two series: the bigraded kernel.

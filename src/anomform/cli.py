@@ -27,14 +27,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import anomaly, modforms, thetanum
-from .anomaly import (
-    COROLLARY_DIMENSIONS,
-    identity_parameters,
-    identity_profile,
-)
+from .anomaly import COROLLARY_DIMENSIONS, identity_profile
 from .chroot import GradedClass
 from .genera import normalize_l_variant
-from .modforms import SpanError, decomposition_case
+from .modforms import SpanError, decomposition_case, identity_parameters
 from .qseries import TruncationError, series_text
 from .witten import THETA1, THETA2, theta_bundle
 
@@ -154,12 +150,13 @@ def cmd_expand(args: argparse.Namespace, config: RunConfig) -> tuple:
         if not args.which:
             raise UsageError("delta-eps requires --which")
         try:
-            form = modforms.delta_epsilon(args.which, order2)
+            series = modforms.delta_epsilon(args.which, order2)
         except ValueError as err:
             raise UsageError(str(err))
-        results.append(
-            {"target": args.which, "q_order": order2, **form.to_obj()}
-        )
+        which = modforms._DELTA_EPS_ALIASES.get(args.which, args.which)
+        weight, group = modforms._DELTA_EPS_SPECS[which]
+        results.append({"target": args.which, "q_order": order2, "weight": weight,
+                        "group": group, "series": series.to_obj()})
     elif args.target == "theta-bundle":
         if args.kind not in (THETA1, THETA2):
             raise UsageError("theta-bundle requires --kind theta1|theta2")
@@ -272,6 +269,8 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> tuple:
             raise UsageError(f"--{flag} is read only by the numeric suite, not {suite}")
     if args.dim is not None and suite == "numeric":
         raise UsageError("--dim is read by every suite but numeric")
+    if config.q_order2 is not None and suite not in ("decomposition", "routes", "all"):
+        raise UsageError(f"q_order is read only by decomposition and routes, not {suite}")
     if config.max_form_degree is not None:
         raise UsageError("verify does not read max_degree (--max-degree or config key)")
     if args.m is not None and args.dim is None:
@@ -368,7 +367,9 @@ def cmd_report(args: argparse.Namespace, config: RunConfig) -> tuple:
     if not path.exists():
         raise UsageError(f"no such report file: {args.infile}")
     envelope = json.loads(path.read_text())
-    results = envelope.get("results", [])
+    results = envelope.get("results", []) if isinstance(envelope, dict) else None
+    if not isinstance(results, list) or not all(isinstance(r, dict) for r in results):
+        raise UsageError(f"{args.infile} is not a report (a JSON object with a results list)")
     return results, _exit_code(results, config.allow_degenerate)
 
 

@@ -1,4 +1,4 @@
-"""Standard characteristic series: A-roof, the L-class, spinor characters.
+"""Standard characteristic series: the A-roof and the L-class.
 
 Everything is built per Chern root and pushed through the product-over-roots
 pipeline.  The L-class ships in two angle conventions, full (x/tanh x, zero
@@ -74,11 +74,6 @@ def l_root_series(x_order: int, variant: str = L_FULL) -> list:
     return xseries_mul(cosh_series(x_order, half=True, scale=2), inv_sinh, x_order)
 
 
-def spinor_root_series(x_order: int) -> list:
-    """2*cosh(x/2), the per-pair character of the full spinor bundle."""
-    return cosh_series(x_order, half=True, scale=2)
-
-
 def _x_order(profile: RootProfile) -> int:
     return 2 * profile.max_weight + 1
 
@@ -98,23 +93,3 @@ def l_class(profile: RootProfile, variant: str = L_FULL) -> GradedClass:
     """
     return product_over_roots(l_root_series(_x_order(profile), variant), profile)
 
-
-def spinor_character(profile: RootProfile, kind: str = "even") -> GradedClass:
-    """Chern character of the spinor bundle: prod of 2*cosh(x_j/2) over pairs.
-
-    Both kinds share the root formula; a zero root contributes a factor 1
-    (the bundle rank is 2^n_pairs for either fiber parity).  The kind is
-    validated against the fiber parity only.
-    """
-    kinds = {"even": False, "even_full": False, "odd": True, "odd_full": True}
-    try:
-        wants_odd = kinds[kind]
-    except KeyError:
-        raise ValueError(f"unknown spinor kind {kind!r}")
-    if wants_odd != profile.has_zero_root:
-        raise ValueError(
-            f"spinor kind {kind!r} does not match fiber dimension {profile.fiber_dim}"
-        )
-    return product_over_roots(
-        spinor_root_series(_x_order(profile)), profile, include_zero_root=False
-    )

@@ -4,7 +4,7 @@ The nullwerte are expanded exactly from their infinite products; the bare
 first theta series carries a q^(1/8) prefactor and is therefore only exposed
 through its 4th power, which lives on integral q^(1/2) powers.  The four
 weight-2/weight-4 forms delta/epsilon are assembled from 4th powers of
-nullwerte and tagged with their weight and congruence subgroup.
+nullwerte; ``_DELTA_EPS_SPECS`` holds their weights and congruence subgroups.
 
 The decomposition machinery matches q^(r/2)-coefficients of a series against
 the monomial basis (8 delta_2)^(e-2r) epsilon_2^r; the system is triangular
@@ -15,7 +15,6 @@ turn the matched window q^0..q^(m/2) into the basis coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,22 +32,6 @@ class SpanError(ValueError):
     def __init__(self, message: str, exp2: int):
         super().__init__(message)
         self.exp2 = exp2
-
-
-@dataclass(frozen=True)
-class ModularFormSeries:
-    """A q^(1/2)-expansion tagged with modular weight and subgroup."""
-
-    series: HalfQSeries
-    weight: int
-    group: str
-
-    def to_obj(self) -> dict:
-        return {
-            "weight": self.weight,
-            "group": self.group,
-            "series": self.series.to_obj(),
-        }
 
 
 def _one_minus(exp2: int, sign: int, order2: int) -> HalfQSeries:
@@ -119,12 +102,11 @@ _DELTA_EPS_ALIASES = {
 }
 
 
-def delta_epsilon(which: str, order2: int) -> ModularFormSeries:
+def delta_epsilon(which: str, order2: int) -> HalfQSeries:
     """delta_1, epsilon_1, delta_2 or epsilon_2 from nullwert 4th powers."""
     which = _DELTA_EPS_ALIASES.get(which, which)
     if which not in _DELTA_EPS_SPECS:
         raise ValueError(f"unknown form {which!r}")
-    weight, group = _DELTA_EPS_SPECS[which]
     if which in ("delta1", "eps1"):
         t2 = theta2_nullwert(order2) ** 4
         t3 = theta3_nullwert(order2) ** 4
@@ -133,7 +115,7 @@ def delta_epsilon(which: str, order2: int) -> ModularFormSeries:
         t1 = theta1_nullwert_fourth(order2)
         t3 = theta3_nullwert(order2) ** 4
         series = -(t1 + t3) / 8 if which == "delta2" else (t1 * t3) / 16
-    return ModularFormSeries(series.truncate(order2), weight, group)
+    return series.truncate(order2)
 
 
 def modular_basis(weight: int, order2: int) -> list:
@@ -151,8 +133,8 @@ def _modular_basis(weight: int, order2: int) -> tuple:
     if weight % 2 or weight < 2:
         raise ValueError("weight must be a positive even integer")
     e = weight // 2
-    d8 = delta_epsilon("delta2", order2).series * 8
-    eps = delta_epsilon("eps2", order2).series
+    d8 = delta_epsilon("delta2", order2) * 8
+    eps = delta_epsilon("eps2", order2)
     return tuple(d8 ** (e - 2 * r) * (eps**r) for r in range(weight // 4 + 1))
 
 
@@ -223,15 +205,33 @@ def basis_decompose(f: HalfQSeries, weight: int) -> list:
     return xs
 
 
+def identity_parameters(fiber_dim: int):
+    """(case, m, identity degree) for a fiber dimension; 'b' carries 8m+4."""
+    if fiber_dim < 1:
+        raise ValueError("fiber_dim must be positive")
+    r = fiber_dim % 8
+    if r in (1, 2, 3):
+        m = fiber_dim // 8
+        return "b", m, 8 * m + 4
+    if r in (5, 6, 7):
+        m = fiber_dim // 8 + 1
+        return "z", m, 8 * m
+    raise ValueError(
+        f"fiber dimension {fiber_dim} (0 or 4 mod 8) has no identity class here"
+    )
+
+
 def decomposition_case(m: int, fiber_dim: int) -> str:
-    """'b' for fiber dimensions 8m+1..8m+3, 'z' for 8m-3..8m-1 (m >= 1)."""
+    """fiber_dim's case, 'b' or 'z', when its identity class has this m."""
     if m < 0:
         raise ValueError("m must be non-negative")
-    if fiber_dim in (8 * m + 1, 8 * m + 2, 8 * m + 3):
-        return "b"
-    if m >= 1 and fiber_dim in (8 * m - 3, 8 * m - 2, 8 * m - 1):
-        return "z"
-    raise ValueError(f"fiber dimension {fiber_dim} is not in a class handled at m={m}")
+    try:
+        case, class_m, _ = identity_parameters(fiber_dim)
+    except ValueError:
+        class_m = None
+    if class_m != m:
+        raise ValueError(f"fiber dimension {fiber_dim} is not in a class handled at m={m}")
+    return case
 
 
 @lru_cache(maxsize=None)
@@ -246,10 +246,9 @@ def decompose_theta2(m: int, profile: RootProfile) -> tuple:
     combination matrix must be integral (so are the x_r); either failure
     raises ArithmeticError.
     """
-    case = decomposition_case(m, profile.fiber_dim)
-    weight = 4 * m + 2 if case == "b" else 4 * m
+    decomposition_case(m, profile.fiber_dim)  # raises unless the class has this m
     f = theta_bundle(THETA2, profile, m + 1).series
-    xs, recon = _solve(f, weight)
+    xs, recon = _solve(f, identity_parameters(profile.fiber_dim)[2] // 2)
     for s in range(m + 1):
         if f.coefficient(s) != recon.coefficient(s):
             raise ArithmeticError("matched window residual")

@@ -175,10 +175,6 @@ class HalfQSeries:
         return cls(ring, {0: ring.one}, order2)
 
     @classmethod
-    def monomial(cls, ring, exp2: int, coeff, order2: int) -> "HalfQSeries":
-        return cls(ring, {exp2: ring.coerce(coeff)}, order2)
-
-    @classmethod
     def from_terms(cls, ring, terms, order2: int) -> "HalfQSeries":
         coeffs = {}
         for exp2, c in terms:
@@ -317,13 +313,6 @@ class HalfQSeries:
     def lift_to(self, ring) -> "HalfQSeries":
         """Reinterpret rational coefficients inside a larger ring."""
         return self.map_coefficients(lambda c: ring.one * c, ring)
-
-    def eval_half_power(self, w: complex) -> complex:
-        """Numeric value with w standing for q^(1/2) (so q = w^2)."""
-        total = 0j
-        for exp2, c in self._coeffs.items():
-            total += complex(c) * w**exp2
-        return total
 
     # -- presentation ------------------------------------------------------
 

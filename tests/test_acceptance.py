@@ -53,12 +53,12 @@ def test_criterion_1_modular_form_expansions():
         e1 = delta_epsilon("eps1", order2)
         d2 = delta_epsilon("delta2", order2)
         e2 = delta_epsilon("eps2", order2)
-        assert [d1.series.coefficient(k) for k in (0, 2, 4)] == [Fraction(1, 4), 6, 6]
-        assert [e1.series.coefficient(k) for k in (0, 2, 4)] == [Fraction(1, 16), -1, 7]
-        assert [d2.series.coefficient(k) for k in (0, 1, 2)] == [Fraction(-1, 8), -3, -3]
-        assert [e2.series.coefficient(k) for k in (0, 1, 2)] == [0, 1, 8]
+        assert [d1.coefficient(k) for k in (0, 2, 4)] == [Fraction(1, 4), 6, 6]
+        assert [e1.coefficient(k) for k in (0, 2, 4)] == [Fraction(1, 16), -1, 7]
+        assert [d2.coefficient(k) for k in (0, 1, 2)] == [Fraction(-1, 8), -3, -3]
+        assert [e2.coefficient(k) for k in (0, 1, 2)] == [0, 1, 8]
         for form in (d1, e1, d2, e2):
-            for exp2, coeff in form.series.items():
+            for exp2, coeff in form.items():
                 assert exp2 == 0 or coeff.denominator == 1
 
 

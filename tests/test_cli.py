@@ -268,6 +268,18 @@ def test_report_missing_file_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    ("[]", '{"results": [1]}', '{"results": 5}', '{"results": [[]]}', '"report"', "{not json"),
+)
+def test_report_file_that_is_not_a_report_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "report", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_table_format(capsys):
     code, out, _ = run(capsys, "verify", "agw", "--dim", "2", "--format", "table")
     assert code == 0

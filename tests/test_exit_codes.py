@@ -86,6 +86,10 @@ def test_dimension_without_identity_class_exits_2(capsys):
             ("verify", "numeric", "--dim", "4", "--law", "eq3.5", "--tau", "0.3+1.2i"),
             "--dim is read by every suite but numeric",
         ),
+        (("verify", "main", "--dim", "10", "--q-order", "2"), "q_order is read only by decomposition and routes"),
+        (("verify", "agw", "--dim", "2", "--q-order", "9"), "not agw"),
+        (("verify", "corollaries", "--q-order", "9"), "not corollaries"),
+        (("verify", "numeric", "--law", "eq3.5", "--q-order", "9"), "not numeric"),
     ),
 )
 def test_verify_option_no_suite_reads_exits_2(capsys, argv, message):
@@ -100,3 +104,13 @@ def test_verify_max_degree_from_config_file_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "agw", "--dim", "2", "--config", str(config))
     assert (code, out) == (2, "")
     assert "does not read max_degree" in err
+
+
+def test_verify_q_order_from_config_file_exits_2_unless_read(clear_memos, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("q_order = 9\n")
+    code, out, err = run(capsys, "verify", "main", "--dim", "6", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert "q_order is read only by decomposition and routes, not main" in err
+    code, out, _ = run(capsys, "verify", "decomposition", "--dim", "6", "--config", str(config))
+    assert code == 0 and json.loads(out)["config"]["q_order"] == 9

@@ -5,19 +5,18 @@ from math import factorial
 
 import pytest
 
-from anomform.chroot import GradedClass, RootProfile
-from anomform.genera import (
-    a_hat,
-    ahat_root_series,
-    l_class,
-    l_root_series,
-    spinor_character,
-    spinor_root_series,
-)
+from anomform.chroot import GradedClass, RootProfile, product_over_roots
+from anomform.genera import a_hat, ahat_root_series, cosh_series, l_class, l_root_series
 
 
 def p(profile, i, coeff=1):
     return GradedClass.p(profile, i, coeff)
+
+
+def spinor_character(profile):
+    """ch of the spinor bundle: prod of 2 cosh(x_j/2) over pairs, a zero root adds nothing."""
+    series = cosh_series(2 * profile.max_weight + 1, half=True, scale=2)
+    return product_over_roots(series, profile, include_zero_root=False)
 
 
 # -- independent series oracle: build the per-root factors from exponentials --
@@ -77,7 +76,7 @@ def test_root_series_against_exponential_oracles():
     half = oracle_x_over_tanh(n, half=True)
     assert l_root_series(n, "full") == full
     assert l_root_series(n, "half") == half
-    assert spinor_root_series(n) == [
+    assert cosh_series(n, half=True, scale=2) == [
         (exp_poly(Fraction(1, 2), n)[i] + exp_poly(Fraction(-1, 2), n)[i]) for i in range(n)
     ]
 
@@ -128,18 +127,12 @@ def test_l_variant_aliases():
 def test_spinor_rank_dim6():
     profile = RootProfile(6, 8)
     assert spinor_character(profile).constant_term() == 8
+    assert spinor_character(RootProfile(7, 8)).constant_term() == 8  # zero root: no factor
 
 
 def test_spinor_dim2_degree4():
     profile = RootProfile(2, 4)
     assert spinor_character(profile).degree_component(4) == p(profile, 1, Fraction(1, 4))
-
-
-def test_spinor_kind_parity_validation():
-    with pytest.raises(ValueError, match="match"):
-        spinor_character(RootProfile(6, 8), "odd")
-    odd = spinor_character(RootProfile(7, 8), "odd")
-    assert odd.constant_term() == 8  # zero root contributes no factor
 
 
 def test_per_root_identity_ahat_spinor_is_half_angle_l():

@@ -175,7 +175,7 @@ def random_series(rng, ring, order2, val2, coefficient):
     terms += [(e, coefficient()) for e in range(val2 + 1, order2) if rng.random() < 0.7]
     series = HalfQSeries.from_terms(ring, terms, order2)
     while val2 < order2 and series.val2 != val2:  # the valuation term drew a zero
-        series = series + HalfQSeries.monomial(ring, val2, ring.one, order2)
+        series = series + HalfQSeries.from_terms(ring, [(val2, ring.one)], order2)
     return series
 
 

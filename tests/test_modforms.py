@@ -1,5 +1,6 @@
 """Nullwert expansions, delta/epsilon, and the triangular decompositions."""
 
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from anomform.chroot import GradedClass, RootProfile
+from anomform.cli import main
 from anomform.modforms import (
     GAMMA0_LOWER,
     GAMMA0_UPPER,
@@ -91,29 +93,36 @@ def test_bare_theta1_rejected():
 
 
 def test_printed_expansions():
-    d1 = delta_epsilon("delta1", 6).series
+    d1 = delta_epsilon("delta1", 6)
     assert [d1.coefficient(k) for k in (0, 2, 4)] == [Fraction(1, 4), 6, 6]
     assert not d1.coefficient(1) and not d1.coefficient(3)
-    e1 = delta_epsilon("eps1", 6).series
+    e1 = delta_epsilon("eps1", 6)
     assert [e1.coefficient(k) for k in (0, 2, 4)] == [Fraction(1, 16), -1, 7]
-    d2 = delta_epsilon("delta2", 4).series
+    d2 = delta_epsilon("delta2", 4)
     assert [d2.coefficient(k) for k in (0, 1, 2)] == [Fraction(-1, 8), -3, -3]
-    e2 = delta_epsilon("eps2", 4).series
+    e2 = delta_epsilon("eps2", 4)
     assert [e2.coefficient(k) for k in (0, 1, 2)] == [0, 1, 8]
 
 
-def test_weights_and_groups():
-    assert (delta_epsilon("delta1", 4).weight, delta_epsilon("delta1", 4).group) == (2, GAMMA0_LOWER)
-    assert (delta_epsilon("eps1", 4).weight, delta_epsilon("eps1", 4).group) == (4, GAMMA0_LOWER)
-    assert (delta_epsilon("delta2", 4).weight, delta_epsilon("delta2", 4).group) == (2, GAMMA0_UPPER)
-    assert (delta_epsilon("eps2", 4).weight, delta_epsilon("eps2", 4).group) == (4, GAMMA0_UPPER)
-    assert delta_epsilon("epsilon2", 4).series == delta_epsilon("eps2", 4).series
+def test_weights_and_groups(capsys):
+    # `expand delta-eps` prints each form's weight and congruence subgroup
+    for which, weight, group in (
+        ("delta1", 2, GAMMA0_LOWER),
+        ("eps1", 4, GAMMA0_LOWER),
+        ("delta2", 2, GAMMA0_UPPER),
+        ("eps2", 4, GAMMA0_UPPER),
+        ("epsilon2", 4, GAMMA0_UPPER),
+    ):
+        assert main(["expand", "delta-eps", "--which", which, "--q-order", "4"]) == 0
+        result = json.loads(capsys.readouterr().out)["results"][0]
+        assert (result["weight"], result["group"]) == (weight, group)
+    assert delta_epsilon("epsilon2", 4) == delta_epsilon("eps2", 4)
 
 
 def test_integrality_past_constant_to_q10():
     order2 = 21  # exponents through q^10
     for which in ("delta1", "eps1", "delta2", "eps2"):
-        series = delta_epsilon(which, order2).series
+        series = delta_epsilon(which, order2)
         for exp2, coeff in series.items():
             if exp2 == 0:
                 continue
@@ -124,8 +133,8 @@ def test_integrality_past_constant_to_q10():
 
 
 def test_basis_decompose_pure_monomials():
-    d8 = delta_epsilon("delta2", 8).series * 8
-    eps2 = delta_epsilon("eps2", 8).series
+    d8 = delta_epsilon("delta2", 8) * 8
+    eps2 = delta_epsilon("eps2", 8)
     assert basis_decompose((d8**3).truncate(8), 6) == [1, 0]
     assert basis_decompose(eps2, 4) == [0, 1]
     mixed = (d8**2) * Fraction(5, 7) - eps2 * 3
@@ -133,7 +142,7 @@ def test_basis_decompose_pure_monomials():
 
 
 def test_basis_decompose_rejects_off_span_series():
-    d8 = delta_epsilon("delta2", 8).series * 8
+    d8 = delta_epsilon("delta2", 8) * 8
     poisoned = (d8**3).truncate(8) + HalfQSeries.from_terms(QQ, [(5, 1)], 8)
     with pytest.raises(SpanError) as err:
         basis_decompose(poisoned, 6)
@@ -160,6 +169,23 @@ def test_case_selection():
         decomposition_case(0, 5)  # m = 0 z-case is rejected
     with pytest.raises(ValueError):
         decomposition_case(1, 4)
+    with pytest.raises(ValueError, match="not in a class handled at m=0"):
+        decomposition_case(0, -1)  # -1 = 8*0 - 1 is not a z-case fiber
+
+
+@pytest.mark.parametrize("m", range(10))
+def test_case_selection_table(m):
+    # the two dimension lists of the paper's 4k+2 classes, written out as the oracle
+    b_dims = (8 * m + 1, 8 * m + 2, 8 * m + 3)
+    z_dims = (8 * m - 3, 8 * m - 2, 8 * m - 1) if m >= 1 else ()
+    for dim in range(1, 65):
+        if dim in b_dims:
+            assert decomposition_case(m, dim) == "b"
+        elif dim in z_dims:
+            assert decomposition_case(m, dim) == "z"
+        else:
+            with pytest.raises(ValueError, match=f"not in a class handled at m={m}$"):
+                decomposition_case(m, dim)
 
 
 @pytest.mark.parametrize("m,dim", [(0, 1), (0, 2), (0, 3), (1, 9), (1, 10), (1, 11), (2, 17), (2, 18), (2, 19)])

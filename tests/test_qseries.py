@@ -29,7 +29,7 @@ def test_addition_cancellation():
 
 
 def test_addition_shifts_constant_of_delta2():
-    delta2 = delta_epsilon("delta2", 8).series
+    delta2 = delta_epsilon("delta2", 8)
     shifted = delta2 + Fraction(1, 8)
     assert shifted.coefficient(0) == 0
     assert shifted.coefficient(1) == -3
@@ -48,7 +48,7 @@ def test_product_difference_of_squares():
 
 
 def test_square_of_8delta2_leading_terms():
-    d8 = delta_epsilon("delta2", 8).series * 8
+    d8 = delta_epsilon("delta2", 8) * 8
     sq = d8 * d8
     assert sq.coefficient(0) == 1
     assert sq.coefficient(1) == 48
@@ -79,12 +79,12 @@ def test_inverse_of_theta2_nullwert():
 
 
 def test_pow_zero():
-    d8 = delta_epsilon("delta2", 8).series * 8
+    d8 = delta_epsilon("delta2", 8) * 8
     assert d8**0 == HalfQSeries.one(QQ, 8)
 
 
 def test_eps2_square_leading():
-    eps2 = delta_epsilon("eps2", 8).series
+    eps2 = delta_epsilon("eps2", 8)
     sq = eps2**2
     assert sq.coefficient(2) == 1
     assert sq.coefficient(3) == 16
@@ -92,7 +92,7 @@ def test_eps2_square_leading():
 
 
 def test_8delta2_cube_coefficient():
-    d8 = delta_epsilon("delta2", 8).series * 8
+    d8 = delta_epsilon("delta2", 8) * 8
     cube = d8**3
     assert cube.coefficient(0) == -1
     assert cube.coefficient(1) == -72
@@ -139,7 +139,7 @@ def test_product_order_uses_valuation_window():
     assert (a * b).order2 == 7
     assert (a * b).coefficient(6) == 4
     # squaring a valuation-1 series likewise gains a half-step
-    eps2 = delta_epsilon("eps2", 8).series
+    eps2 = delta_epsilon("eps2", 8)
     assert (eps2 * eps2).order2 == 9
 
 
@@ -165,7 +165,7 @@ def test_inverse_requires_unit_constant():
 
 
 def test_serialization_roundtrip():
-    eps2 = delta_epsilon("eps2", 9).series
+    eps2 = delta_epsilon("eps2", 9)
     obj = eps2.to_obj()
     assert obj[0] == {"exp2": 1, "coef": "1"}
     # q^(n/2) carries the sum of d^3 over the divisors d of n with n/d odd
@@ -183,7 +183,7 @@ def test_shifted_extends_window():
 
 
 def test_monomial_constructor():
-    m = HalfQSeries.monomial(QQ, 3, Fraction(5, 2), 6)
+    m = HalfQSeries.from_terms(QQ, [(3, Fraction(5, 2))], 6)
     assert m.coefficient(3) == Fraction(5, 2)
     assert m.val2 == 3 and not m.coefficient(0)
 

@@ -1,12 +1,15 @@
 """Top-level identity verifier.
 
-Builds the degree-(8m+4) and degree-8m characteristic q-series two ways
-(K-theory tensor assembly vs calibrated theta-quotient products), runs the
-modular-basis decomposition, measures the normalization scalar of the main
-cancellation identity against the expected integer constant, checks the
-three classical gravitational cancellation combinations, and extracts the
-integer corollary vectors.  Everything here is exact rational arithmetic; a
-report either has an empty residual list or names the offending monomials.
+Builds the degree-(8m+4) and degree-8m characteristic q-series two ways:
+K-theory tensor assembly, and theta-quotient products over the roots, whose
+pair log is a closed sum of Eisenstein divisor sums and whose product over
+roots is the partition sum of ``chroot.product_over_root_pairs`` at the
+identity weight alone.  It runs the modular-basis decomposition, measures
+the normalization scalar of the main cancellation identity against the
+expected integer constant, checks the three classical gravitational
+cancellation combinations, and extracts the integer corollary vectors.
+Everything here is exact rational arithmetic; a report either has an empty
+residual list or names the offending monomials.
 
 Every exact artifact is computed once per identity class, the (case, m,
 degree) that ``modforms.identity_parameters`` assigns a fiber dimension:
@@ -32,9 +35,8 @@ from .chroot import (
     GradedRing,
     RootProfile,
     even_part,
+    pair_log,
     product_over_root_pairs,
-    xseries_inverse,
-    xseries_mul,
 )
 from .genera import (
     L_FULL,
@@ -163,44 +165,48 @@ def _kind_parameters(kind: str, profile: RootProfile):
 # -- exact theta-quotient route ---------------------------------------------
 
 
+def _divisor_sum(theta1_side: bool, n: int, p: int) -> int:
+    """a_j(n) at p = 2j - 1: sum_(k|n) (-1)^(n/k) k^p on the Theta_2 side;
+    2 sum_(k|n/2, k odd) k^p for even n and 0 for odd n on the Theta_1 side."""
+    if not theta1_side:
+        return sum((-1) ** (n // k) * k**p for k in range(1, n + 1) if n % k == 0)
+    if n % 2:
+        return 0
+    return 2 * sum(k**p for k in range(1, n // 2 + 1, 2) if n // 2 % k == 0)
+
+
 def theta_quotient_pair_series(
     kind: str, l_variant: str, order2: int, max_weight: int
 ) -> tuple:
-    """u-coefficients (u = x^2) of one root pair's theta-quotient factor.
+    """Pair log (f0, (L_1, ..., L_w)) of one root pair's theta-quotient factor f.
 
-    The factor is even in the root x, so it is built in u from closed forms.
-    An exterior-power factor at t = q^(h/2), s = +-1 is
-    (1 + s t e^(cx))(1 + s t e^(-cx)) / (1 + s t)^2
-    = 1 + 2st/(1+st)^2 (cosh(cx) - 1), and a symmetric-power factor
-    (1-q^n)^2 / ((1 - e^(cx) q^n)(1 - e^(-cx) q^n)) is the inverse of that
-    form at s = -1, t = q^n.  The q^0 term is calibrated to the matching
-    K-theory prefactor (A-roof for the Theta_2 side, the requested L-variant
-    for the Theta_1 side).  The full-angle Theta_1 calibration doubles the
-    root exponentials (c = 2): that is the determinant normalization under
-    which the S-transformation carries the clean 2^(4m+2) factor.
+    f is even in x; log(f/f0) = sum_j L_j u^j in u = x^2 (``chroot.pair_log``).
+    It is the K-theory prefactor (A-roof on the Theta_2 side, the requested
+    L-variant on the Theta_1 side) times exterior-power factors
+    (1 + s t e^(cx))(1 + s t e^(-cx)) / (1 + s t)^2 at t = q^(h/2), s = +-1,
+    over symmetric-power ones at s = -1, t = q^n.  A factor's log is
+    sum_k (-1)^(k-1) (st)^k / k * 2 (cosh(ckx) - 1), so
+    L_j = l_j + 2 c^(2j) / (2j)! * sum_(0<N<order2) a_j(N) q^(N/2), with l_j
+    the prefactor's pair log, f0 its constant term and the Eisenstein divisor
+    sums of ``_divisor_sum`` (Zagier, "Note on the Landweber-Stong elliptic
+    genus", 1988).  The full-angle Theta_1 calibration doubles the root
+    exponentials (c = 2): the determinant normalization under which the
+    S-transformation carries the clean 2^(4m+2) factor.
     """
-    n_u = max_weight + 1
-    if kind in (P2, Q2):
-        prefactor, c = ahat_root_series(2 * max_weight + 1), 1
-        lambda_factors = [(2 * n - 1, -1) for n in range(1, order2 // 2 + 1)]
-    else:
+    theta1_side = kind not in (P2, Q2)
+    if theta1_side:
         l_variant = normalize_l_variant(l_variant)
         prefactor = l_root_series(2 * max_weight + 1, l_variant)
-        c = 1 if l_variant != L_FULL else 2
-        lambda_factors = [(2 * n, 1) for n in range(1, (order2 - 1) // 2 + 1)]
-    one = HalfQSeries.one(QQ, order2)
-
-    def cosh_form(exp2, sign):
-        st = HalfQSeries.from_terms(QQ, [(exp2, sign)], order2)
-        scale = st * 2 * ((one + st) ** 2).inverse()
-        return [one] + [scale * Fraction(c ** (2 * k), factorial(2 * k)) for k in range(1, n_u)]
-
-    series = [one * coeff for coeff in even_part(prefactor)]
-    for n in range(1, (order2 - 1) // 2 + 1):
-        series = xseries_mul(series, xseries_inverse(cosh_form(2 * n, -1), n_u), n_u)
-    for exp2, sign in lambda_factors:
-        series = xseries_mul(series, cosh_form(exp2, sign), n_u)
-    return tuple(series)
+        c = 2 if l_variant == L_FULL else 1
+    else:
+        prefactor, c = ahat_root_series(2 * max_weight + 1), 1
+    f0, ell = pair_log(even_part(prefactor))
+    logs = []
+    for j in range(1, max_weight + 1):
+        scale = Fraction(2 * c ** (2 * j), factorial(2 * j))
+        terms = {n: scale * _divisor_sum(theta1_side, n, 2 * j - 1) for n in range(1, order2)}
+        logs.append(HalfQSeries(QQ, {0: ell[j - 1], **terms}, order2))
+    return HalfQSeries(QQ, {0: f0}, order2), tuple(logs)
 
 
 @lru_cache(maxsize=None)
@@ -214,8 +220,9 @@ def p_form(
     """The degree-extracted characteristic q-series P_1/P_2/Q_1/Q_2.
 
     ktheory route: Hirzebruch prefactor times the Witten bundle character,
-    degree component per q-coefficient.  theta_product route: per-root-pair
-    theta-quotient products pushed through the power-sum pipeline.  Memoised:
+    degree component per q-coefficient.  theta_product route: the closed-form
+    pair log of the theta-quotient factor, summed over the partitions of the
+    identity weight (``chroot.product_over_root_pairs``).  Memoised:
     each series is computed once per argument tuple and process.
     """
     case, m, degree = _kind_parameters(kind, profile)
@@ -234,10 +241,8 @@ def p_form(
         )
     if route != ROUTE_THETA:
         raise ValueError(f"unknown route {route!r}")
-    u_coeffs = theta_quotient_pair_series(kind, l_variant, order2, profile.max_weight)
-    return product_over_root_pairs(u_coeffs, profile).map_coefficients(
-        lambda c: c.degree_component(degree), ring
-    )
+    f0, logs = theta_quotient_pair_series(kind, l_variant, order2, profile.max_weight)
+    return product_over_root_pairs(f0, logs, profile, weights=(degree // 4,))
 
 
 # -- symbolic verifications --------------------------------------------------

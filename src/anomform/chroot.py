@@ -8,16 +8,23 @@ sparse rational polynomial in p_1..p_n truncated at a fixed top form
 degree (p_i has form degree 4i).
 
 Products and sums of a univariate series over all roots are computed via
-even power sums and Newton's identities rather than by expanding in the
-roots themselves: log prod f(x_j) = sum log f(x_j) is a series in
-s_2, s_4, ..., which keeps nine root pairs cheap.  The log of an even series
-f in u = x^2 is taken in one pass: with g = f/f(0) and log g = sum L_k u^k,
-u g' = g (u log g)' gives k L_k = k g_k - sum_(0<j<k) j L_j g_(k-j), so
-weight w costs O(w^2) coefficient products.  The u-coefficients of f are
-rational q-series (the theta-quotient route; constant series for the
-rational genera), and a product over roots is one q-series over
-``GradedRing``: X = sum_k L_k S_k is assembled one q-power at a time and
-its exponential is built by bigraded series products.
+even power sums S_k = sum_j x_j^(2k), not in the roots themselves.  With
+f0 = f(0) and the pair log log(f/f0) = sum_k L_k u^k in u = x^2, a product
+over root pairs is f0^r exp(sum_k L_k S_k); its weight-v part is the
+cycle-index sum over the partitions lambda of v (Macdonald, *Symmetric
+Functions and Hall Polynomials*, I.2)
+
+    f0^r * sum_(lambda |- v) prod_k L_k^(m_k) / m_k! * S^lambda,
+
+with m_k the number of parts k of lambda and S^lambda = prod_i S_(lambda_i).
+``power_sum_products`` memoises S^lambda per (profile, v) as an integer
+p-monomial dict (Newton's S_k are integral in the p_i).  The L_k are
+rational q-series; each partition's coefficient is one ``QQ`` series
+product from a shorter partition's.  For each q-power the coefficients are
+cleared to one denominator, the integer S^lambda accumulated, and one
+``Fraction`` built per (exp2, monomial): no class product, no exponential.
+``pair_log`` takes the log in one pass: with g = f/f0, u g' = g (u log g)'
+gives k L_k = k g_k - sum_(0<j<k) j L_j g_(k-j), O(w^2) products.
 
 Every ring product goes through one weight-graded kernel
 (``_graded_product``, after the weight grading of Hirzebruch, Berger and
@@ -37,15 +44,14 @@ Jung, *Manifolds and Modular Forms*):
   to a single weight, so ``(a * b).degree_component(d)`` is computed without
   forming the rest of the product.
 - **Bigraded series kernel.** A q-series over ``GradedRing`` (the Witten
-  bundles, the root products) is multiplied by ``GradedRing.series_mul``.
-  Each operand series is cleared to integers over one denominator; for each
-  output exponent the same buckets, codes and loop accumulate the integer
-  products of every pair of q-terms, and one ``Fraction`` is built per
-  output (exp2, monomial).  No ``GradedClass`` product or sum is formed per
-  pair of q-terms.
+  bundles) is multiplied by ``GradedRing.series_mul``.  Each operand series
+  is cleared to integers over one denominator; for each output exponent the
+  same buckets, codes and loop accumulate the integer products of every pair
+  of q-terms, and one ``Fraction`` is built per output (exp2, monomial).  No
+  ``GradedClass`` product or sum is formed per pair of q-terms.
 
-The kernels' output is already clean (trimmed, in range, nonzero), so it is
-wrapped into a ``GradedClass`` without another normalisation pass.
+The output of the kernels and the partition sum is already clean (trimmed,
+in range, nonzero), so it is wrapped into a ``GradedClass`` as it is.
 """
 
 from __future__ import annotations
@@ -488,6 +494,28 @@ def power_sums(profile: RootProfile, k_max: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def power_sum_products(profile: RootProfile, weight: int) -> tuple:
+    """((lambda, S^lambda), ...) over the partitions lambda of `weight`.
+
+    lambda is a non-increasing tuple of parts and S^lambda = prod_i
+    S_(lambda_i) an integer p-monomial dict (module doc).
+    """
+    if weight > profile.max_weight:
+        raise ValueError(f"weight {weight} exceeds the profile's weight {profile.max_weight}")
+    if not weight:
+        return (((), {(): 1}),)
+    psums = power_sums(profile, profile.max_weight)
+    out = []
+    for k in range(weight, 0, -1):
+        for rest, s in power_sum_products(profile, weight - k):
+            if rest[:1] <= (k,):  # parts stay non-increasing
+                # the profile's code base, shared with its other products' memos
+                prod = _graded_product(psums[k - 1]._comp, s, weight, profile.max_weight)
+                out.append(((k,) + rest, {m: c.numerator for m, c in prod.items()}))
+    return tuple(out)
+
+
 def elementary_from_power_sums(psums: list, k_max: int, one):
     """e_0..e_k_max from power sums N_1..N_k_max (Newton, any ring).
 
@@ -505,60 +533,81 @@ def elementary_from_power_sums(psums: list, k_max: int, one):
     return es
 
 
+def pair_log(u_coeffs: list) -> tuple:
+    """(f0, (L_1, ..., L_w)): f's constant term and log(f/f0) = sum_k L_k u^k.
+
+    `u_coeffs` are the coefficients of an even series f in u = x^2, rationals
+    or rational q-series, and w = len(u_coeffs) - 1.  One pass (module doc).
+    """
+    f0 = u_coeffs[0]
+    f0_inv = invert_scalar(f0)
+    g = [c * f0_inv for c in u_coeffs]
+    # kept as M_k = k L_k: M_k = k g_k - sum_(0<j<k) M_j g_(k-j)
+    m_log = [None] * len(g)
+    for k in range(1, len(g)):
+        m_log[k] = g[k] * k - sum(m_log[j] * g[k - j] for j in range(1, k))
+    return f0, tuple(m / k for k, m in enumerate(m_log[1:], 1))
+
+
 def product_over_root_pairs(
-    u_coeffs: list, profile: RootProfile, include_zero_root: bool = True
+    f0: HalfQSeries, logs: list, profile: RootProfile, include_zero_root=True, weights=None
 ) -> HalfQSeries:
     """prod over root pairs of f(x_j), times f(0) for a zero root.
 
-    `u_coeffs` are the rational q-series coefficients of the even series f
-    in u = x^2 (so u_coeffs[k] multiplies x^(2k)).  Returns a q-series over
-    ``GradedRing(profile)``, truncated at the profile's weight.  Computed as
-    f(0)^r * exp(X) with X = sum_k L_k S_k the sum over pairs of
-    log(f/f(0)); every product of the exponential is a bigraded series
-    product.
+    f is given by its pair log (``pair_log``): the rational q-series f0 and
+    L_1..L_w with log(f/f0) = sum_k L_k u^k.  Returns the parts of weight in
+    `weights` (default all, 0..max_weight) as a q-series over
+    ``GradedRing(profile)``: the partition sum of the module doc.
     """
     w_max = profile.max_weight
-    if len(u_coeffs) < w_max + 1:
+    if len(logs) < w_max:
         raise ValueError("insufficient input truncation for the requested form degree")
-    f0 = u_coeffs[0]
-    if not f0.coefficient(0):
-        raise ValueError("series must have a nonzero constant term")
-    # one-pass log of g = f/f0 (module doc), kept as M_k = k L_k:
-    # M_k = k g_k - sum_(0<j<k) M_j g_(k-j)
-    f0_inv = f0.inverse()
-    g = [c * f0_inv for c in u_coeffs[: w_max + 1]]
-    m_log = [None] * (w_max + 1)
-    for k in range(1, w_max + 1):
-        m_log[k] = g[k] * k - sum(m_log[j] * g[k - j] for j in range(1, k))
-    # sum over pairs, one exp2 at a time: X_e = sum_k (M_k)_e / k * S_k
-    ring = GradedRing(profile)
-    psums = power_sums(profile, w_max)
-    order2 = min(c.order2 for c in g)
-    x = {}
-    for e in range(order2):
-        x[e] = sum((s * (m_log[k].coefficient(e) / k) for k, s in enumerate(psums, 1)), ring.zero)
-    x = HalfQSeries(ring, x, order2)
-    # exponentiate (nilpotent: positive weights only) from the overall
-    # constant: one factor f0 per pair, plus one for a zero root
+    order2 = min(s.order2 for s in (f0, *logs[:w_max]))
+    logs = [dict(s.items()) for s in logs[:w_max]]
     exponent = profile.n_pairs + (1 if include_zero_root and profile.has_zero_root else 0)
-    result = term = (f0**exponent).lift_to(ring)
-    for j in range(1, w_max + 1):
-        inv_j = Fraction(1, j)
-        term = (term * x).map_coefficients(lambda c: c * inv_j, ring)
-        if not term:
-            break
-        result = result + term
-    return result
+    coeffs = {(): dict((f0**exponent).truncate(order2).items())}
+
+    def coefficient(parts):
+        """f0^r prod_k L_k^(m_k) / m_k!: one series product per appended part."""
+        if parts not in coeffs:
+            k = parts[-1]
+            prod = QQ.series_mul(coefficient(parts[:-1]), logs[k - 1], order2)
+            m_k = parts.count(k)
+            coeffs[parts] = {e: c / m_k for e, c in prod.items()} if m_k > 1 else prod
+        return coeffs[parts]
+
+    rows = [
+        (coefficient(parts), s)
+        for v in (range(w_max + 1) if weights is None else weights)
+        for parts, s in power_sum_products(profile, v)
+        if s
+    ]
+    out = {}
+    for e in range(order2):
+        column = {i: c[e] for i, (c, _) in enumerate(rows) if e in c}
+        if not column:
+            continue
+        (column,), den = integer_numerators([column])
+        acc = {}
+        for i, n in column.items():
+            for mon, s_coef in rows[i][1].items():
+                acc[mon] = acc[mon] + n * s_coef if mon in acc else n * s_coef
+        comp = {mon: Fraction(n, den) for mon, n in acc.items() if n}
+        if comp:
+            out[e] = GradedClass._wrap(profile, comp)
+    return HalfQSeries(GradedRing(profile), out, order2)
 
 
 def product_over_roots(
     f: list, profile: RootProfile, include_zero_root: bool = True
 ) -> GradedClass:
     """prod over the root multiset of an even rational series f(x)."""
-    if len(f) < 2 * profile.max_weight + 1:
+    w_max = profile.max_weight
+    if len(f) < 2 * w_max + 1:
         raise ValueError("insufficient input truncation for the requested form degree")
-    u_coeffs = [HalfQSeries(QQ, {0: Fraction(c)}, 1) for c in even_part(list(f))]
-    return product_over_root_pairs(u_coeffs, profile, include_zero_root).coefficient(0)
+    f0, logs = pair_log([Fraction(c) for c in even_part(list(f))[: w_max + 1]])
+    f0, *logs = (HalfQSeries(QQ, {0: c}, 1) for c in (f0, *logs))
+    return product_over_root_pairs(f0, logs, profile, include_zero_root).coefficient(0)
 
 
 def sum_over_roots(g: list, profile: RootProfile) -> GradedClass:

@@ -10,8 +10,9 @@ stderr).  Checks run serially in one process and share its memoised theta
 bundles, modular bases, genera and characteristic series, so each exact
 artifact is built once per identity class and run.  Every exact check of a
 class reads its series at one truncation: --q-order, else the class order
-2m+5.  A verify option that none of the requested suites reads is a usage
-error.
+2m+5.  A verify option that none of the requested suites reads, as a flag
+or a config key, is a usage error.  So is a report file whose entries do
+not score or render as results.
 
 q-orders on the command line are in doubled exponent units (the exp2 of
 q^(exp2/2)) and are exclusive bounds, matching the series representation.
@@ -23,7 +24,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import anomaly, modforms, thetanum
@@ -55,6 +56,7 @@ class RunConfig:
     out_format: str = "json"
     out_path: str | None = None
     allow_degenerate: bool = False
+    given: set = field(default_factory=set)  # keys set by a flag or the config file
 
     def to_obj(self) -> dict:
         return {
@@ -98,10 +100,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 raise UsageError(f"unknown config key {key!r}")
             attr, cast = _CONFIG_KEYS[key]
             setattr(config, attr, cast(raw))
+            config.given.add(key)
     for key, (attr, _) in _CONFIG_KEYS.items():
         value = getattr(args, key, None)
         if value is not None:
             setattr(config, attr, value)
+            config.given.add(key)
     config.allow_degenerate = bool(getattr(args, "allow_degenerate", False))
     config.l_variant = normalize_l_variant(config.l_variant)
     if config.out_format not in ("json", "table"):
@@ -271,6 +275,10 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> tuple:
         raise UsageError("--dim is read by every suite but numeric")
     if config.q_order2 is not None and suite not in ("decomposition", "routes", "all"):
         raise UsageError(f"q_order is read only by decomposition and routes, not {suite}")
+    if "tol" in config.given and suite not in ("numeric", "all"):
+        raise UsageError(f"tol is read only by the numeric suite, not {suite}")
+    if "l_variant" in config.given and suite not in ("main", "agw", "routes", "all"):
+        raise UsageError(f"l_variant is read only by main, agw and routes, not {suite}")
     if config.max_form_degree is not None:
         raise UsageError("verify does not read max_degree (--max-degree or config key)")
     if args.m is not None and args.dim is None:
@@ -370,6 +378,13 @@ def cmd_report(args: argparse.Namespace, config: RunConfig) -> tuple:
     results = envelope.get("results", []) if isinstance(envelope, dict) else None
     if not isinstance(results, list) or not all(isinstance(r, dict) for r in results):
         raise UsageError(f"{args.infile} is not a report (a JSON object with a results list)")
+    for i, entry in enumerate(results):
+        # an entry that cannot be scored or rendered in either format is no result
+        try:
+            _exit_code([entry], False)
+            render_table([entry])
+        except (KeyError, TypeError, ValueError) as err:
+            raise UsageError(f"{args.infile} is not a report (results[{i}]: {err!r})")
     return results, _exit_code(results, config.allow_degenerate)
 
 

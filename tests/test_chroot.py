@@ -12,6 +12,7 @@ from anomform.chroot import (
     RootProfile,
     eval_at_roots,
     monomial_weight,
+    power_sum_products,
     power_sums,
     product_over_roots,
     sum_over_roots,
@@ -229,6 +230,38 @@ def test_power_sums_match_eval():
     values = [Fraction(1, 2), Fraction(3), Fraction(-2, 5)]
     for k, s in enumerate(power_sums(profile, 3), start=1):
         assert eval_at_roots(s, values) == sum(v ** (2 * k) for v in values)
+
+
+PARTITION_COUNTS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [RootProfile(5, 16), RootProfile(6, 20), RootProfile(9, 12), RootProfile(34, 36)],
+    ids=lambda p: f"dim{p.fiber_dim}",
+)
+def test_power_sum_products_are_integral_and_evaluate_to_power_sums(profile):
+    """S^lambda over every partition lambda of each weight: integer
+    coefficients, and at seeded rational roots prod_i sum_j x_j^(2 lambda_i)."""
+    rng = random.Random(8300 + profile.fiber_dim)
+    for weight in range(profile.max_weight + 1):
+        entries = power_sum_products(profile, weight)
+        parts_list = [parts for parts, _ in entries]
+        assert len(set(parts_list)) == len(parts_list) == PARTITION_COUNTS[weight]
+        for parts, s in entries:
+            assert sum(parts) == weight and list(parts) == sorted(parts, reverse=True)
+            assert all(type(c) is int and c for c in s.values())
+            assert all(monomial_weight(m) == weight for m in s)
+            roots = [
+                Fraction(rng.randrange(-9, 10), rng.randrange(1, 6))
+                for _ in range(profile.n_pairs)
+            ]
+            want = Fraction(1)
+            for k in parts:
+                want *= sum(x ** (2 * k) for x in roots)
+            assert eval_at_roots(GradedClass(profile, s), roots) == want
+    with pytest.raises(ValueError, match="exceeds"):
+        power_sum_products(profile, profile.max_weight + 1)
 
 
 def test_rank_induced_vanishing():

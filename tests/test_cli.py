@@ -280,6 +280,25 @@ def test_report_file_that_is_not_a_report_exits_2(tmp_path, capsys, text):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text, fmt",
+    (
+        ('{"results": [{"status": []}]}', "json"),
+        ('{"results": [{"law": "eq3.1"}]}', "table"),
+        ('{"results": [{"law": "eq3.1"}]}', "json"),
+        ('{"results": [{"identity": "eq1.1", "status": "pass", "lambda": []}]}', "table"),
+    ),
+)
+def test_report_entries_that_are_not_results_exit_2(tmp_path, capsys, text, fmt):
+    """An entry that cannot be scored or rendered is named, whatever the format."""
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "report", "--in", str(path), "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "is not a report (results[0]" in err
+    assert "Traceback" not in err
+
+
 def test_table_format(capsys):
     code, out, _ = run(capsys, "verify", "agw", "--dim", "2", "--format", "table")
     assert code == 0

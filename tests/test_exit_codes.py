@@ -1,8 +1,9 @@
 """Exit status 1 means only that a check failed: an unwritable --out path or a
 dimension without an identity class is a usage error (2), and an internal
-ArithmeticError, TruncationError or SpanError is exit 3.  So is a verify
-option that none of the requested suites reads.  Also: decompose accepts any
-positive --q-order, because its solve does not read past q^(m/2)."""
+ArithmeticError, TruncationError or SpanError is exit 3.  A verify option
+that none of the requested suites reads, as a flag or a config key, is a
+usage error too.  Also: decompose accepts any positive --q-order, because
+its solve does not read past q^(m/2)."""
 
 import json
 
@@ -90,6 +91,18 @@ def test_dimension_without_identity_class_exits_2(capsys):
         (("verify", "agw", "--dim", "2", "--q-order", "9"), "not agw"),
         (("verify", "corollaries", "--q-order", "9"), "not corollaries"),
         (("verify", "numeric", "--law", "eq3.5", "--q-order", "9"), "not numeric"),
+        (
+            ("verify", "corollaries", "--dim", "6", "--l-variant", "half", "--tol", "0.5"),
+            "tol is read only by the numeric suite, not corollaries",
+        ),
+        (("verify", "main", "--dim", "10", "--tol", "0.5"), "tol is read only by the numeric"),
+        (("verify", "routes", "--dim", "10", "--tol", "1e-3"), "not routes"),
+        (
+            ("verify", "corollaries", "--dim", "6", "--l-variant", "half"),
+            "l_variant is read only by main, agw and routes, not corollaries",
+        ),
+        (("verify", "decomposition", "--dim", "10", "--l-variant", "full"), "not decomposition"),
+        (("verify", "numeric", "--law", "eq3.5", "--l-variant", "half"), "not numeric"),
     ),
 )
 def test_verify_option_no_suite_reads_exits_2(capsys, argv, message):
@@ -104,6 +117,30 @@ def test_verify_max_degree_from_config_file_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "agw", "--dim", "2", "--config", str(config))
     assert (code, out) == (2, "")
     assert "does not read max_degree" in err
+
+
+@pytest.mark.parametrize(
+    "line, suite, message",
+    (
+        ("tol = 0.5", "corollaries", "tol is read only by the numeric suite, not corollaries"),
+        ("l_variant = half", "decomposition", "l_variant is read only by main, agw and routes"),
+    ),
+)
+def test_verify_tol_and_l_variant_from_config_file_exit_2(tmp_path, capsys, line, suite, message):
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n")
+    code, out, err = run(capsys, "verify", suite, "--dim", "6", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_verify_tol_and_l_variant_accepted_where_read(clear_memos, capsys):
+    code, out, _ = run(capsys, "verify", "numeric", "--law", "eq3.5", "--tol", "1e-6")
+    assert code == 0 and json.loads(out)["config"]["tol"] == 1e-6
+    code, out, _ = run(capsys, "verify", "main", "--dim", "6", "--l-variant", "half")
+    assert json.loads(out)["config"]["l_variant"] == "half"
+    code, out, _ = run(capsys, "verify", "agw", "--dim", "2", "--l-variant", "full")
+    assert code == 0
 
 
 def test_verify_q_order_from_config_file_exits_2_unless_read(clear_memos, tmp_path, capsys):

@@ -11,6 +11,7 @@ from anomform.chroot import (
     RootProfile,
     eval_at_roots,
     even_part,
+    pair_log,
     product_over_root_pairs,
     product_over_roots,
 )
@@ -140,7 +141,7 @@ def test_constant_q_series_agree_with_product_over_roots(dim):
         f[k] = rng.choice(SPECIAL + [Fraction(rng.randrange(-7, 8), rng.randrange(1, 6))])
     order2 = 3
     lifted = [HalfQSeries.from_terms(QQ, [(0, c)], order2) for c in even_part(f)]
-    got = product_over_root_pairs(lifted, profile)
+    got = product_over_root_pairs(*pair_log(lifted), profile)
     assert got.ring == GradedRing(profile)
     assert got.order2 == order2
     assert got.coefficient(0) == product_over_roots(f, profile)
@@ -318,7 +319,7 @@ def test_root_pair_product_matches_direct_product_at_rational_roots(profile, inc
     u_coeffs = [
         random_series(rng, QQ, order2, val2, lambda: random_rational(rng)) for val2 in valuations
     ]
-    got = product_over_root_pairs(u_coeffs, profile, include_zero_root)
+    got = product_over_root_pairs(*pair_log(u_coeffs), profile, include_zero_root)
     assert got.ring == GradedRing(profile)
     assert got.order2 == order2
     zero_root = include_zero_root and profile.has_zero_root

@@ -7,15 +7,18 @@ the S-transformation exchanging the two degree-extracted characteristic
 q-series (with numeric root values and jets truncated at the identity
 degree standing in for the nilpotent curvature variables).  A root pair's
 quotient jet does not depend on the root value, so one jet per (side, tau)
-serves every root; thetas needed at one (v, tau) share their q-powers.
+serves every root; one table of q-powers per tau serves every theta
+product there (a jet's sample points, a law's partner thetas).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 def _check_tau(tau: complex):
@@ -41,32 +44,38 @@ _FORM_KINDS = {f + i: kinds for f in ("delta", "eps", "epsilon")
                for i, kinds in (("1", ("theta2", "theta3")), ("2", ("theta1", "theta3")))}
 
 
-def _theta_values(kinds, v: complex, tau: complex, n_terms: int | None) -> list:
-    """Product-formula values of several theta kinds at one (v, tau).
+def _caller_stacklevel() -> int:
+    """`warnings.warn` stacklevel of the first frame outside this module."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and frame.f_globals is globals():
+        frame, level = frame.f_back, level + 1
+    return level
 
-    The kinds share q, w, 1/w and the lists of q^j, q^(j - 1/2) and 1 - q^j;
-    each kind multiplies its factors in the order a single kind does.
-    """
+
+def _tau_tables(tau: complex, n_terms: int | None, half: bool) -> tuple:
+    """One tau's table (2 q^(1/8), [q^j], [q^(j - 1/2)] if half else None, [1 - q^j])."""
     _check_tau(tau)
     if n_terms is None:
         n_terms = product_terms_needed(tau)
     elif math.exp(-2.0 * math.pi * tau.imag * n_terms) > 1e-10:
         warnings.warn(f"n_terms={n_terms} leaves |q|^n above 1e-10 at tau={tau}; the "
                       "truncated product may miss the target accuracy", RuntimeWarning,
-                      stacklevel=3)  # names the caller of the public function
-    for kind in kinds:
-        if kind not in _KINDS:
-            raise ValueError(f"unknown theta kind {kind!r}")
+                      stacklevel=_caller_stacklevel())
     q = cmath.exp(2j * cmath.pi * tau)
-    w = cmath.exp(2j * cmath.pi * v)
-    w_inv = 1.0 / w
     # q^(1/8) enters as exp(2 pi i tau / 8); shifted powers for j-1/2
     eighth = 2.0 * cmath.exp(cmath.pi * 1j * tau / 4.0)
     q_half = cmath.exp(1j * cmath.pi * tau)
     js = range(1, n_terms + 1)
     q_int = [q**j for j in js]
-    q_odd = [q_half ** (2 * j - 1) for j in js] if any(_KINDS[k][1] for k in kinds) else None
-    euler = [1 - qj for qj in q_int]
+    q_odd = [q_half ** (2 * j - 1) for j in js] if half else None
+    return eighth, q_int, q_odd, [1 - qj for qj in q_int]
+
+
+def _theta_products(kinds, v: complex, tables: tuple) -> list:
+    """Product-formula values of several kinds at v from one tau's table, each in its own order."""
+    eighth, q_int, q_odd, euler = tables
+    w = cmath.exp(2j * cmath.pi * v)
+    w_inv = 1.0 / w
     values = []
     for kind in kinds:
         sign, half, trig = _KINDS[kind]
@@ -80,30 +89,33 @@ def _theta_values(kinds, v: complex, tau: complex, n_terms: int | None) -> list:
 
 def theta_eval(kind: str, v: complex, tau: complex, n_terms: int | None = None) -> complex:
     """Product-formula value of theta, theta_1, theta_2 or theta_3 at (v, tau)."""
-    return _theta_values((kind,), v, tau, n_terms)[0]
+    if kind not in _KINDS:
+        raise ValueError(f"unknown theta kind {kind!r}")
+    return _theta_products((kind,), v, _tau_tables(tau, n_terms, _KINDS[kind][1]))[0]
+
+
+def _theta_prime(tau: complex, tables: tuple) -> complex:
+    value = 2.0 * cmath.pi * cmath.exp(cmath.pi * 1j * tau / 4.0)
+    for e in tables[3]:
+        value *= e**3
+    return value
 
 
 def theta_prime_zero(tau: complex, n_terms: int | None = None) -> complex:
     """d theta / dv at v = 0: 2 pi q^(1/8) prod (1 - q^j)^3."""
-    _check_tau(tau)
-    if n_terms is None:
-        n_terms = product_terms_needed(tau)
-    q = cmath.exp(2j * cmath.pi * tau)
-    value = 2.0 * cmath.pi * cmath.exp(cmath.pi * 1j * tau / 4.0)
-    for j in range(1, n_terms + 1):
-        value *= (1 - q**j) ** 3
-    return value
+    return _theta_prime(tau, _tau_tables(tau, n_terms, False))
 
 
 def nullwert(kind: str, tau: complex, n_terms: int | None = None) -> complex:
-    return _theta_values((kind,), 0.0, tau, n_terms)[0]
+    return theta_eval(kind, 0.0, tau, n_terms)
 
 
 def delta_epsilon_eval(which: str, tau: complex, n_terms: int | None = None) -> complex:
     """Numeric delta_i / epsilon_i from the 4th powers of the two nullwerte it needs."""
     if which not in _FORM_KINDS:
         raise ValueError(f"unknown form {which!r}")
-    a, b = (t**4 for t in _theta_values(_FORM_KINDS[which], 0.0, tau, n_terms))
+    tables = _tau_tables(tau, n_terms, True)  # each pair holds theta3, which takes q^(j - 1/2)
+    a, b = (t**4 for t in _theta_products(_FORM_KINDS[which], 0.0, tables))
     if which == "delta1":
         return (a + b) / 8.0
     if which == "delta2":
@@ -149,14 +161,17 @@ _LAW_KIND = {"eq3.1": "theta", "eq3.2": "theta1", "eq3.3": "theta2", "eq3.4": "t
 def _theta_law_residuals(kind: str, v: complex, tau: complex, n_terms: int | None):
     """Residuals of the T-law and S-law of one theta function at (v, tau)."""
     phase = cmath.exp(1j * cmath.pi / 4) if _T_PHASE[kind] else 1.0
+    t_kind, s_kind = _T_PARTNER[kind], _S_PARTNER[kind]
     lhs_t = theta_eval(kind, v, tau + 1, n_terms)
-    rhs_t = phase * theta_eval(_T_PARTNER[kind], v, tau, n_terms)
+    # one table at tau serves the T-partner at v and the S-partner at tau v
+    at_tau = _tau_tables(tau, n_terms, _KINDS[t_kind][1] or _KINDS[s_kind][1])
+    rhs_t = phase * _theta_products((t_kind,), v, at_tau)[0]
     # principal branch of (tau / i)^(1/2)
     prefactor = cmath.sqrt(tau / 1j) * cmath.exp(1j * cmath.pi * tau * v * v)
     if kind == "theta":
         prefactor = prefactor / 1j
     lhs_s = theta_eval(kind, v, -1.0 / tau, n_terms)
-    rhs_s = prefactor * theta_eval(_S_PARTNER[kind], tau * v, tau, n_terms)
+    rhs_s = prefactor * _theta_products((s_kind,), tau * v, at_tau)[0]
     return abs(lhs_t - rhs_t), abs(lhs_s - rhs_s)
 
 
@@ -182,21 +197,29 @@ def _pair_jet(side: int, tau: complex, max_degree: int, n_terms: int | None) -> 
     points = 2 * max_degree + 10
     radius = 0.25
     quotient_kind = "theta1" if side == 1 else "theta2"
-    null = nullwert(quotient_kind, tau, n_terms)
-    prime = theta_prime_zero(tau, n_terms)
+    tables = _tau_tables(tau, n_terms, side == 2)  # theta2 takes q^(j - 1/2)
+    null = _theta_products((quotient_kind,), 0.0, tables)[0]
+    prime = _theta_prime(tau, tables)
     samples = []
     for k in range(points):
         t = radius * cmath.exp(2j * cmath.pi * k / points)
         v = 1j * t / cmath.pi if side == 1 else 1j * t / (2 * cmath.pi)
-        theta, quotient = _theta_values(("theta", quotient_kind), v, tau, n_terms)
+        theta, quotient = _theta_products(("theta", quotient_kind), v, tables)
         samples.append(v * prime / theta * quotient / null)
     jet = []
-    for d in range(max_degree + 1):
+    for d, row in enumerate(_dft_rows(points, max_degree)):
         acc = 0j
-        for k, s in enumerate(samples):
-            acc += s * cmath.exp(-2j * cmath.pi * k * d / points)
+        for s, twiddle in zip(samples, row):
+            acc += s * twiddle
         jet.append(acc / (points * radius**d))
     return jet
+
+
+@lru_cache(maxsize=16)
+def _dft_rows(points: int, max_degree: int) -> tuple:
+    """Twiddle rows exp(-2 pi i k d / points), k < points, for d = 0..max_degree."""
+    return tuple(tuple(cmath.exp(-2j * cmath.pi * k * d / points) for k in range(points))
+                 for d in range(max_degree + 1))
 
 
 def _root_terms(jet: list, roots: list) -> list:
@@ -239,14 +262,45 @@ def transformed_pq_residual(m: int, roots: list, tau: complex, z_case: bool = Fa
     return abs(lhs - expected) / scale
 
 
+# a sample tau that needs more product terms than this, at tau or -1/tau, is rejected
+MAX_PRODUCT_TERMS = 10_000
+
+
+def _check_sample_tau(tau: complex) -> None:
+    """Reject a sample tau before anything is evaluated, naming it as given.
+
+    A law evaluates at tau, tau + 1 and -1/tau; tau + 1 needs as many
+    product terms as tau.
+    """
+    if not (cmath.isfinite(tau) and tau.imag > 0):
+        raise ValueError(f"tau={tau} is not a finite point of the upper half plane")
+    for at in (tau, -1.0 / tau):
+        # product_terms_needed(at) > MAX_PRODUCT_TERMS, without its int() overflow as Im -> 0
+        if not at.imag > 0 or math.log(1e-16) / (-2.0 * math.pi * at.imag) >= MAX_PRODUCT_TERMS:
+            raise ValueError(f"tau={tau} needs more than {MAX_PRODUCT_TERMS} product terms "
+                             f"at {at}")
+
+
 def check_transformation(law: str, samples: list, tol: float = 1e-9,
                          n_terms: int | None = None) -> NumericCheckReport:
     """Evaluate both sides of a transformation law over the sample set.
 
     Laws eq3.1..eq3.4 take (v, tau) samples and produce two residuals each
     (tau -> tau + 1 and tau -> -1/tau); eq3.5delta / eq3.5eps take tau
-    samples; eq3.11 / eq3.32 take (m, roots, tau) samples.
+    samples; eq3.11 / eq3.32 take (m, roots, tau) samples.  A non-finite tau,
+    one off the upper half plane or one needing more than MAX_PRODUCT_TERMS
+    product terms raises ValueError before any sample is evaluated.
     """
+    if law in _LAW_KIND:
+        taus = [tau for _, tau in samples]
+    elif law in ("eq3.5delta", "eq3.5eps"):
+        taus = samples
+    elif law in ("eq3.11", "eq3.32"):
+        taus = [tau for _, _, tau in samples]
+    else:
+        raise ValueError(f"unknown transformation law {law!r}")
+    for tau in taus:
+        _check_sample_tau(complex(tau))
     residuals: list = []
     recorded: list = []
     if law in _LAW_KIND:
@@ -260,12 +314,10 @@ def check_transformation(law: str, samples: list, tol: float = 1e-9,
         for tau in samples:
             residuals.append(_delta_eps_law_residual(which, complex(tau), n_terms))
             recorded.append({"tau": str(complex(tau))})
-    elif law in ("eq3.11", "eq3.32"):
+    else:
         z_case = law == "eq3.32"
         for m, roots, tau in samples:
             residuals.append(transformed_pq_residual(m, list(roots), complex(tau), z_case, n_terms))
             recorded.append({"m": m, "roots": [str(complex(x)) for x in roots],
                              "tau": str(complex(tau))})
-    else:
-        raise ValueError(f"unknown transformation law {law!r}")
     return NumericCheckReport(law, recorded, residuals, tol, n_terms)

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from anomform import anomaly, modforms
+from anomform import anomaly, modforms, thetanum
 from anomform.cli import main
 from anomform.qseries import TruncationError
 
@@ -109,6 +109,26 @@ def test_verify_option_no_suite_reads_exits_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "law, tau, message",
+    (
+        ("eq3.5", "0.3-1i", "tau=(0.3-1j) is not a finite point of the upper half plane"),
+        ("eq3.1", "nan+1i", "tau=(nan+1j) is not a finite point"),
+        ("eq3.11", "10000+1i", "tau=(10000+1j) needs more than 10000 product terms"),
+        (None, "0.3+1e-6i", "tau=(0.3+1e-06j) needs more than 10000 product terms"),
+    ),
+)
+def test_verify_numeric_unusable_tau_exits_2(monkeypatch, capsys, law, tau, message):
+    def refuse(tau, n_terms, half):
+        raise AssertionError(f"evaluated at tau={tau}")
+
+    monkeypatch.setattr(thetanum, "_tau_tables", refuse)
+    argv = ["verify", "numeric", "--tau", tau] + (["--law", law] if law else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
 
 
 def test_verify_max_degree_from_config_file_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Numeric theta evaluation and the transformation-law residual checks."""
 
 import cmath
+import math
 import random
 
 import pytest
@@ -140,23 +141,28 @@ def test_report_serialization():
     assert len(obj["residuals"]) == 1
 
 
-def count_products(monkeypatch) -> list:
-    """Record the kinds of every theta product loop from now on."""
-    calls = []
-    original = thetanum._theta_values
+def count_work(monkeypatch) -> tuple:
+    """Record the tau of every table build and the kinds of every theta product from now on."""
+    tables, products = [], []
+    build, product = thetanum._tau_tables, thetanum._theta_products
 
-    def counted(kinds, v, tau, n_terms):
-        calls.append(tuple(kinds))
-        return original(kinds, v, tau, n_terms)
+    def counted_build(tau, n_terms, half):
+        tables.append(tau)
+        return build(tau, n_terms, half)
 
-    monkeypatch.setattr(thetanum, "_theta_values", counted)
-    return calls
+    def counted_product(kinds, v, table):
+        products.append(tuple(kinds))
+        return product(kinds, v, table)
+
+    monkeypatch.setattr(thetanum, "_tau_tables", counted_build)
+    monkeypatch.setattr(thetanum, "_theta_products", counted_product)
+    return tables, products
 
 
 @pytest.mark.parametrize("n_roots", (1, 2, 4))
 @pytest.mark.parametrize("m, z_case", ((1, False), (2, True)))
 def test_one_jet_per_side_whatever_the_roots(monkeypatch, n_roots, m, z_case):
-    products = count_products(monkeypatch)
+    tables, products = count_work(monkeypatch)
     jets = []
     original = thetanum._pair_jet
 
@@ -166,13 +172,37 @@ def test_one_jet_per_side_whatever_the_roots(monkeypatch, n_roots, m, z_case):
 
     monkeypatch.setattr(thetanum, "_pair_jet", counted)
     roots = [0.03 * (k + 1) * (-1) ** k for k in range(n_roots)]
-    assert transformed_pq_residual(m, roots, complex(0.2, 1.1), z_case=z_case) < 1e-9
+    tau = complex(0.2, 1.1)
+    assert transformed_pq_residual(m, roots, tau, z_case=z_case) < 1e-9
     assert sorted(jets) == [1, 2]
+    # one table per jet side serves its nullwert, theta'(0) and every sample point
+    assert tables == [-1.0 / tau, tau]
     # each jet: its nullwert, then one two-kind product per sample point
     points = 2 * (4 * m if z_case else 4 * m + 2) + 10
     side_1 = [("theta1",)] + [("theta", "theta1")] * points
     side_2 = [("theta2",)] + [("theta", "theta2")] * points
     assert products == side_1 + side_2
+
+
+def test_twiddle_rows_built_once_per_points():
+    thetanum._dft_rows.cache_clear()
+    for tau in (complex(0.2, 1.1), complex(-0.1, 0.9)):
+        transformed_pq_residual(1, [0.1, -0.05], tau)
+    # both sides of both samples sample at the same 22 points
+    info = thetanum._dft_rows.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+@pytest.mark.parametrize("law", ["eq3.1", "eq3.2", "eq3.3", "eq3.4"])
+def test_theta_law_sample_builds_three_tables(monkeypatch, law):
+    tables, products = count_work(monkeypatch)
+    samples = sample_points(3)
+    check_transformation(law, samples)
+    # the T-partner at (v, tau) and the S-partner at (tau v, tau) share one table
+    assert tables == [t for _, tau in samples for t in (tau + 1, tau, -1.0 / tau)]
+    kind = thetanum._LAW_KIND[law]
+    per_sample = [(kind,), (thetanum._T_PARTNER[kind],), (kind,), (thetanum._S_PARTNER[kind],)]
+    assert products == per_sample * len(samples)
 
 
 @pytest.mark.parametrize(
@@ -181,9 +211,43 @@ def test_one_jet_per_side_whatever_the_roots(monkeypatch, n_roots, m, z_case):
      ("delta2", ("theta1", "theta3")), ("epsilon2", ("theta1", "theta3"))),
 )
 def test_delta_epsilon_makes_one_two_kind_product(monkeypatch, which, kinds):
-    products = count_products(monkeypatch)
+    tables, products = count_work(monkeypatch)
     delta_epsilon_eval(which, complex(0.1, 0.9))
-    assert products == [kinds]
+    assert (len(tables), products) == (1, [kinds])
+
+
+@pytest.mark.parametrize(
+    "law, samples, message",
+    (
+        ("eq3.5delta", [1j, complex(0.3, -1.0)], r"tau=\(0\.3-1j\) is not a finite point"),
+        ("eq3.1", [(0.2, 1j), (0.2, complex(float("nan"), 1.0))], r"tau=\(nan\+1j\) is not"),
+        ("eq3.2", [(0.2, 1j), (0.2, complex(0.3, float("inf")))], r"tau=\(0\.3\+infj\) is not"),
+        # product_terms_needed(-1/tau) is 586 348 485
+        ("eq3.11", [(0, [0.1], 1j), (0, [0.1], complex(10000, 1))],
+         r"tau=\(10000\+1j\) needs more than 10000"),
+        # 5.86 million terms at tau itself
+        ("eq3.5eps", [1j, complex(0.3, 1e-6)], r"tau=\(0\.3\+1e-06j\) needs more than 10000"),
+        # -1/tau's imaginary part underflows to zero
+        ("eq3.5delta", [1j, complex(1e200, 1.0)], r"tau=\(1e\+200\+1j\) needs more than 10000"),
+    ),
+)
+def test_unusable_tau_rejected_before_any_evaluation(monkeypatch, law, samples, message):
+    def refuse(tau, n_terms, half):
+        raise AssertionError(f"evaluated at tau={tau}")
+
+    monkeypatch.setattr(thetanum, "_tau_tables", refuse)
+    with pytest.raises(ValueError, match=message):
+        check_transformation(law, samples)
+
+
+def test_product_term_cap_matches_product_terms_needed():
+    cap = thetanum.MAX_PRODUCT_TERMS
+    below, above = (math.log(1e16) / (2 * math.pi * (n + 0.5)) for n in (cap - 1, cap))
+    assert thetanum.product_terms_needed(complex(0, below)) == cap
+    assert thetanum.product_terms_needed(complex(0, above)) == cap + 1
+    assert check_transformation("eq3.5delta", [complex(0, below)]).passed
+    with pytest.raises(ValueError, match="needs more than"):
+        check_transformation("eq3.5delta", [complex(0, above)])
 
 
 def test_unknown_theta_kind_rejected():
@@ -202,3 +266,14 @@ def test_insufficient_terms_warning_names_the_caller():
     with pytest.warns(RuntimeWarning, match="n_terms") as record_null:
         nullwert("theta2", complex(0.0, 0.5), n_terms=2)
     assert [r.filename for r in (*record, *record_null)] == [__file__, __file__]
+    # once per tau whose table falls short, not once per product
+    tau = complex(0.1, 0.5)  # two terms fall short at tau, not at -1/tau
+    with pytest.warns(RuntimeWarning, match="n_terms") as record:
+        transformed_pq_residual(1, [0.1, 0.2], tau, n_terms=2)
+    assert [r.filename for r in record] == [__file__]
+    with pytest.warns(RuntimeWarning, match="n_terms") as record:
+        check_transformation("eq3.5delta", [tau], n_terms=2)
+    assert [r.filename for r in record] == [__file__]
+    with pytest.warns(RuntimeWarning, match="n_terms") as record:
+        check_transformation("eq3.1", [(0.1, tau)], n_terms=2)
+    assert [r.filename for r in record] == [__file__] * 2  # at tau + 1 and at tau

@@ -24,7 +24,6 @@ from .chroot import (
     GradedRing,
     RootProfile,
     eval_at_roots,
-    product_over_roots,
     sum_over_roots,
 )
 from .genera import a_hat, l_class
@@ -77,7 +76,6 @@ __all__ = [
     "l_class",
     "lambda_t_character",
     "p_form",
-    "product_over_roots",
     "s_t_character",
     "sum_over_roots",
     "theta1_nullwert_fourth",

@@ -30,21 +30,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .chroot import (
-    GradedClass,
-    GradedRing,
-    RootProfile,
-    even_part,
-    pair_log,
-    product_over_root_pairs,
-)
+from .chroot import GradedClass, GradedRing, RootProfile, product_over_root_pairs
 from .genera import (
+    AHAT,
     L_FULL,
     L_HALF,
     a_hat,
-    ahat_root_series,
+    genus_pair_log,
     l_class,
-    l_root_series,
     normalize_l_variant,
 )
 from .modforms import SpanError, basis_decompose, decompose_theta2, identity_parameters
@@ -187,20 +180,19 @@ def theta_quotient_pair_series(
     over symmetric-power ones at s = -1, t = q^n.  A factor's log is
     sum_k (-1)^(k-1) (st)^k / k * 2 (cosh(ckx) - 1), so
     L_j = l_j + 2 c^(2j) / (2j)! * sum_(0<N<order2) a_j(N) q^(N/2), with l_j
-    the prefactor's pair log, f0 its constant term and the Eisenstein divisor
-    sums of ``_divisor_sum`` (Zagier, "Note on the Landweber-Stong elliptic
-    genus", 1988).  The full-angle Theta_1 calibration doubles the root
+    the prefactor's closed-form pair log (``genera.genus_pair_log``), f0 its
+    constant term and the Eisenstein divisor sums of ``_divisor_sum`` (Zagier,
+    "Note on the Landweber-Stong elliptic genus", 1988).  Equivalently L_j is
+    2 c^(2j) / (2j)! times an Eisenstein series whose constant term is
+    -B_2j / (4j) on the Theta_2 side and (2^2j - 2) B_2j / (4j) on the Theta_1
+    side.  The full-angle Theta_1 calibration doubles the root
     exponentials (c = 2): the determinant normalization under which the
     S-transformation carries the clean 2^(4m+2) factor.
     """
     theta1_side = kind not in (P2, Q2)
-    if theta1_side:
-        l_variant = normalize_l_variant(l_variant)
-        prefactor = l_root_series(2 * max_weight + 1, l_variant)
-        c = 2 if l_variant == L_FULL else 1
-    else:
-        prefactor, c = ahat_root_series(2 * max_weight + 1), 1
-    f0, ell = pair_log(even_part(prefactor))
+    genus = normalize_l_variant(l_variant) if theta1_side else AHAT
+    c = 2 if genus == L_FULL else 1
+    f0, ell = genus_pair_log(genus, max_weight)
     logs = []
     for j in range(1, max_weight + 1):
         scale = Fraction(2 * c ** (2 * j), factorial(2 * j))

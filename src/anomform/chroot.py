@@ -7,10 +7,14 @@ the elementary symmetric polynomials in the x_j^2; a ``GradedClass`` is a
 sparse rational polynomial in p_1..p_n truncated at a fixed top form
 degree (p_i has form degree 4i).
 
-Products and sums of a univariate series over all roots are computed via
-even power sums S_k = sum_j x_j^(2k), not in the roots themselves.  With
-f0 = f(0) and the pair log log(f/f0) = sum_k L_k u^k in u = x^2, a product
-over root pairs is f0^r exp(sum_k L_k S_k); its weight-v part is the
+Products and sums over all roots of an even per-root factor are computed
+via the even power sums S_k = sum_j x_j^(2k), not in the roots themselves.
+A product takes the factor f as its pair log: f0 = f(0) and
+log(f/f0) = sum_k L_k u^k in u = x^2, with rational or rational q-series
+L_k.  The callers write these logs in closed form (``genera`` for the
+A-roof and the L-class, ``anomaly`` for the theta quotients), so no series
+in x is formed.  A product over root pairs is then f0^r exp(sum_k L_k S_k),
+with r the number of pairs plus one for a zero root; its weight-v part is the
 cycle-index sum over the partitions lambda of v (Macdonald, *Symmetric
 Functions and Hall Polynomials*, I.2)
 
@@ -23,8 +27,10 @@ rational q-series; each partition's coefficient is one ``QQ`` series
 product from a shorter partition's.  For each q-power the coefficients are
 cleared to one denominator, the integer S^lambda accumulated, and one
 ``Fraction`` built per (exp2, monomial): no class product, no exponential.
-``pair_log`` takes the log in one pass: with g = f/f0, u g' = g (u log g)'
-gives k L_k = k g_k - sum_(0<j<k) j L_j g_(k-j), O(w^2) products.
+``pair_log`` is the reference log of an f given by its u-coefficients,
+which tests compare the closed forms against.  It takes the log in one
+pass: with g = f/f0, u g' = g (u log g)' gives
+k L_k = k g_k - sum_(0<j<k) j L_j g_(k-j), O(w^2) products.
 
 Every ring product goes through one weight-graded kernel
 (``_graded_product``, after the weight grading of Hirzebruch, Berger and
@@ -423,56 +429,6 @@ class GradedRing:
         return f"GradedRing({self.profile.fiber_dim}, deg<={self.profile.max_form_degree})"
 
 
-# -- univariate x-series helpers (dense lists of rationals or q-series) -----
-
-
-def invert_scalar(c):
-    """Multiplicative inverse for any supported coefficient type."""
-    if isinstance(c, Fraction):
-        if not c:
-            raise ZeroDivisionError("cannot invert zero")
-        return Fraction(1) / c
-    return c.inverse()
-
-
-def xseries_mul(a: list, b: list, n: int) -> list:
-    """Product of dense x-series, truncated to degree < n."""
-    zero = a[0] * 0
-    out = [zero] * n
-    for i, ai in enumerate(a):
-        if i >= n or not ai:
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= n:
-                break
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def xseries_inverse(a: list, n: int) -> list:
-    """Reciprocal of a dense x-series with invertible constant term."""
-    c0_inv = invert_scalar(a[0])
-    zero = a[0] * 0
-    out = [zero] * n
-    out[0] = c0_inv
-    for k in range(1, n):
-        acc = zero
-        for i in range(1, min(k, len(a) - 1) + 1):
-            if a[i]:
-                acc = acc + a[i] * out[k - i]
-        out[k] = -(c0_inv * acc)
-    return out
-
-
-def even_part(f: list) -> list:
-    """u-coefficients of an even series (u = x^2); rejects odd terms."""
-    for i in range(1, len(f), 2):
-        if f[i]:
-            raise ValueError("series is not even in x")
-    return f[0::2]
-
-
 @lru_cache(maxsize=None)
 def power_sums(profile: RootProfile, k_max: int) -> tuple:
     """(S_1, ..., S_k_max) with S_k = sum_j x_j^(2k) in the p-basis.
@@ -540,8 +496,7 @@ def pair_log(u_coeffs: list) -> tuple:
     or rational q-series, and w = len(u_coeffs) - 1.  One pass (module doc).
     """
     f0 = u_coeffs[0]
-    f0_inv = invert_scalar(f0)
-    g = [c * f0_inv for c in u_coeffs]
+    g = [c / f0 for c in u_coeffs]
     # kept as M_k = k L_k: M_k = k g_k - sum_(0<j<k) M_j g_(k-j)
     m_log = [None] * len(g)
     for k in range(1, len(g)):
@@ -550,7 +505,7 @@ def pair_log(u_coeffs: list) -> tuple:
 
 
 def product_over_root_pairs(
-    f0: HalfQSeries, logs: list, profile: RootProfile, include_zero_root=True, weights=None
+    f0: HalfQSeries, logs: list, profile: RootProfile, weights=None
 ) -> HalfQSeries:
     """prod over root pairs of f(x_j), times f(0) for a zero root.
 
@@ -564,7 +519,7 @@ def product_over_root_pairs(
         raise ValueError("insufficient input truncation for the requested form degree")
     order2 = min(s.order2 for s in (f0, *logs[:w_max]))
     logs = [dict(s.items()) for s in logs[:w_max]]
-    exponent = profile.n_pairs + (1 if include_zero_root and profile.has_zero_root else 0)
+    exponent = profile.n_pairs + (1 if profile.has_zero_root else 0)
     coeffs = {(): dict((f0**exponent).truncate(order2).items())}
 
     def coefficient(parts):
@@ -596,18 +551,6 @@ def product_over_root_pairs(
         if comp:
             out[e] = GradedClass._wrap(profile, comp)
     return HalfQSeries(GradedRing(profile), out, order2)
-
-
-def product_over_roots(
-    f: list, profile: RootProfile, include_zero_root: bool = True
-) -> GradedClass:
-    """prod over the root multiset of an even rational series f(x)."""
-    w_max = profile.max_weight
-    if len(f) < 2 * w_max + 1:
-        raise ValueError("insufficient input truncation for the requested form degree")
-    f0, logs = pair_log([Fraction(c) for c in even_part(list(f))[: w_max + 1]])
-    f0, *logs = (HalfQSeries(QQ, {0: c}, 1) for c in (f0, *logs))
-    return product_over_root_pairs(f0, logs, profile, include_zero_root).coefficient(0)
 
 
 def sum_over_roots(g: list, profile: RootProfile) -> GradedClass:

@@ -1,9 +1,23 @@
 """Standard characteristic series: the A-roof and the L-class.
 
-Everything is built per Chern root and pushed through the product-over-roots
-pipeline.  The L-class ships in two angle conventions, full (x/tanh x, zero
-roots contribute 1) and half (x/tanh(x/2), zero roots contribute 2); which
-one makes downstream constants exact is a measured fact, not an assumption,
+Each genus is a product over the roots of an even per-root factor f, and
+enters the product over root pairs (``chroot.product_over_root_pairs``)
+through its pair log log(f/f0) = sum_k l_k u^k in u = x^2.  These logs
+are closed forms in the Bernoulli numbers B_2k:
+
+    (x/2)/sinh(x/2)   f0 = 1   l_k = -B_2k / (2k (2k)!)
+    x/tanh x          f0 = 1   l_k = 2^2k (2^2k - 2) B_2k / (2k (2k)!)
+    x/tanh(x/2)       f0 = 2   l_k = (2^2k - 2) B_2k / (2k (2k)!)
+
+from log(sinh x / x) = sum_k 2^2k B_2k x^2k / (2k (2k)!) and
+log cosh x = sum_k 2^2k (2^2k - 1) B_2k x^2k / (2k (2k)!).  They are the
+q^0 terms of the Eisenstein pair logs of the level-2 theta quotients
+(``anomaly.theta_quotient_pair_series``), so no power series is inverted
+or multiplied to build either class.
+
+The L-class ships in two angle conventions, full (x/tanh x, zero roots
+contribute 1) and half (x/tanh(x/2), zero roots contribute 2); which one
+makes downstream constants exact is a measured fact, not an assumption,
 so both are first-class.
 """
 
@@ -11,16 +25,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
-from .chroot import (
-    GradedClass,
-    RootProfile,
-    product_over_roots,
-    xseries_inverse,
-    xseries_mul,
-)
+from .chroot import GradedClass, RootProfile, product_over_root_pairs
+from .qseries import QQ, HalfQSeries
 
+AHAT = "ahat"
 L_FULL = "full"
 L_HALF = "half"
 
@@ -31,6 +41,13 @@ _L_ALIASES = {
     "half_angle": L_HALF,
 }
 
+# genus -> (f0, l_k / (B_2k / (2k (2k)!))), the table of the module doc
+_PAIR_LOGS = {
+    AHAT: (1, lambda k: -1),
+    L_FULL: (1, lambda k: 4**k * (4**k - 2)),
+    L_HALF: (2, lambda k: 4**k - 2),
+}
+
 
 def normalize_l_variant(variant: str) -> str:
     try:
@@ -39,49 +56,33 @@ def normalize_l_variant(variant: str) -> str:
         raise ValueError(f"unknown L-class variant {variant!r} (use 'full' or 'half')")
 
 
-def _even_series(term, x_order: int) -> list:
-    """Dense series with x^(2k) coefficient term(k) and zero odd part."""
-    out = [Fraction(0)] * x_order
-    for k in range(0, (x_order + 1) // 2):
-        out[2 * k] = term(k)
-    return out
+def _bernoulli(n_max: int) -> list:
+    """B_0..B_n_max (B_1 = -1/2), from sum_(j<=n) C(n+1, j) B_j = 0 for n >= 1."""
+    b = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        b.append(-sum(comb(n + 1, j) * b[j] for j in range(n)) / (n + 1))
+    return b
 
 
-def sinh_ratio_series(x_order: int, half: bool = True) -> list:
-    """sinh(ax)/(ax) with a = 1/2 (half=True) or a = 1."""
-    a = Fraction(1, 2) if half else Fraction(1)
-    return _even_series(lambda k: a ** (2 * k) / factorial(2 * k + 1), x_order)
+def genus_pair_log(genus: str, max_weight: int) -> tuple:
+    """(f0, (l_1, ..., l_w)) of the per-root factor of AHAT, L_FULL or L_HALF."""
+    f0, factor = _PAIR_LOGS[genus]
+    b = _bernoulli(2 * max_weight)
+    return Fraction(f0), tuple(
+        factor(k) * b[2 * k] / (2 * k * factorial(2 * k)) for k in range(1, max_weight + 1)
+    )
 
 
-def cosh_series(x_order: int, half: bool = True, scale: int = 1) -> list:
-    """scale * cosh(ax) with a = 1/2 (half=True) or a = 1."""
-    a = Fraction(1, 2) if half else Fraction(1)
-    return _even_series(lambda k: scale * a ** (2 * k) / factorial(2 * k), x_order)
-
-
-def ahat_root_series(x_order: int) -> list:
-    """(x/2)/sinh(x/2)."""
-    return xseries_inverse(sinh_ratio_series(x_order, half=True), x_order)
-
-
-def l_root_series(x_order: int, variant: str = L_FULL) -> list:
-    """x/tanh(x) (full angle) or x/tanh(x/2) (half angle)."""
-    variant = normalize_l_variant(variant)
-    if variant == L_FULL:
-        inv_sinh = xseries_inverse(sinh_ratio_series(x_order, half=False), x_order)
-        return xseries_mul(cosh_series(x_order, half=False), inv_sinh, x_order)
-    inv_sinh = xseries_inverse(sinh_ratio_series(x_order, half=True), x_order)
-    return xseries_mul(cosh_series(x_order, half=True, scale=2), inv_sinh, x_order)
-
-
-def _x_order(profile: RootProfile) -> int:
-    return 2 * profile.max_weight + 1
+def _genus_class(genus: str, profile: RootProfile) -> GradedClass:
+    f0, logs = genus_pair_log(genus, profile.max_weight)
+    f0, *logs = (HalfQSeries(QQ, {0: c}, 1) for c in (f0, *logs))
+    return product_over_root_pairs(f0, logs, profile).coefficient(0)
 
 
 @lru_cache(maxsize=None)
 def a_hat(profile: RootProfile) -> GradedClass:
     """A-roof class: prod (x/2)/sinh(x/2) over the root multiset."""
-    return product_over_roots(ahat_root_series(_x_order(profile)), profile)
+    return _genus_class(AHAT, profile)
 
 
 @lru_cache(maxsize=None)
@@ -91,5 +92,4 @@ def l_class(profile: RootProfile, variant: str = L_FULL) -> GradedClass:
     Zero roots contribute the x -> 0 limit of the per-root factor:
     1 for full angle, 2 for half angle.
     """
-    return product_over_roots(l_root_series(_x_order(profile), variant), profile)
-
+    return _genus_class(normalize_l_variant(variant), profile)

@@ -101,11 +101,6 @@ def _theta_prime(tau: complex, tables: tuple) -> complex:
     return value
 
 
-def theta_prime_zero(tau: complex, n_terms: int | None = None) -> complex:
-    """d theta / dv at v = 0: 2 pi q^(1/8) prod (1 - q^j)^3."""
-    return _theta_prime(tau, _tau_tables(tau, n_terms, False))
-
-
 def nullwert(kind: str, tau: complex, n_terms: int | None = None) -> complex:
     return theta_eval(kind, 0.0, tau, n_terms)
 

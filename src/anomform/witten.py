@@ -51,18 +51,12 @@ def exterior_power_characters(profile: RootProfile, k_max: int) -> tuple:
     return tuple(es)
 
 
-def lambda_t_character(
-    profile: RootProfile,
-    t_sign: int,
-    t_exp2: int,
-    order2: int,
-    reduced: bool = True,
-) -> HalfQSeries:
-    """ch Lambda_t(T_C Z) (or of the reduced bundle) at t = t_sign * q^(t_exp2/2).
+def lambda_t_character(profile: RootProfile, t_sign: int, t_exp2: int, order2: int) -> HalfQSeries:
+    """ch Lambda_t of the reduced bundle T_C Z - dim at t = t_sign * q^(t_exp2/2).
 
-    A finite sum: prod over roots (1 + t e^root) = sum_k ch(Lambda^k) t^k.
-    Reduction divides by (1 + t)^fiber_dim per the lambda-operation quotient
-    rule for virtual differences.
+    A finite sum: prod over roots (1 + t e^root) = sum_k ch(Lambda^k) t^k,
+    divided by (1 + t)^fiber_dim per the lambda-operation quotient rule for
+    virtual differences.
     """
     if t_exp2 <= 0:
         raise ValueError("t must carry a positive power of q")
@@ -76,21 +70,13 @@ def lambda_t_character(
         coeff = es[k] if t_sign == 1 or k % 2 == 0 else -es[k]
         coeffs[k * t_exp2] = coeff
     series = HalfQSeries(ring, coeffs, order2)
-    if reduced:
-        unit = HalfQSeries.from_terms(QQ, [(0, 1), (t_exp2, t_sign)], order2)
-        series = series * (unit**profile.fiber_dim).inverse().lift_to(ring)
-    return series
+    unit = HalfQSeries.from_terms(QQ, [(0, 1), (t_exp2, t_sign)], order2)
+    return series * (unit**profile.fiber_dim).inverse().lift_to(ring)
 
 
-def s_t_character(
-    profile: RootProfile,
-    t_sign: int,
-    t_exp2: int,
-    order2: int,
-    reduced: bool = True,
-) -> HalfQSeries:
-    """ch S_t(T_C Z) = 1 / ch Lambda_{-t}(T_C Z), reduced variant included."""
-    return lambda_t_character(profile, -t_sign, t_exp2, order2, reduced).inverse()
+def s_t_character(profile: RootProfile, t_sign: int, t_exp2: int, order2: int) -> HalfQSeries:
+    """ch S_t of the reduced bundle: 1 / ch Lambda_{-t}(T_C Z - dim)."""
+    return lambda_t_character(profile, -t_sign, t_exp2, order2).inverse()
 
 
 THETA1 = "theta1"

@@ -2,10 +2,13 @@
 
 import pytest
 
-from anomform import anomaly, genera, modforms, witten
+from anomform import anomaly, chroot, genera, modforms, witten
 
 # Every in-process memo of an exact artifact; values outlive a single call.
 _MEMOS = (
+    chroot.power_sums,
+    chroot.power_sum_products,
+    witten.exterior_power_characters,
     witten.theta_bundle,
     modforms._modular_basis,
     modforms.decompose_theta2,
@@ -22,6 +25,11 @@ def _clear_memos():
 
 @pytest.fixture
 def clear_memos():
-    """Start the test with empty memos; call the fixture value to empty them again."""
+    """Start and end the test with empty memos; call the fixture value to empty them again.
+
+    Emptying them at the end keeps what a negative control memoised under a
+    perturbation from reaching a later test.
+    """
     _clear_memos()
-    return _clear_memos
+    yield _clear_memos
+    _clear_memos()

@@ -22,12 +22,13 @@ from anomform.anomaly import (
     verify_main_identity,
     verify_route_equivalence,
 )
-from anomform.chroot import GradedClass, RootProfile, eval_at_roots, product_over_roots
+from anomform.chroot import GradedClass, RootProfile, eval_at_roots
 from anomform.cli import main as cli_main
 from anomform.modforms import delta_epsilon
 from anomform.qseries import QQ, HalfQSeries
 from anomform.thetanum import check_transformation
 from anomform.witten import lambda_t_character, s_t_character
+from dense_series import product_over_roots
 
 B_DIMS = (1, 2, 3, 9, 10, 11, 17, 18, 19)
 Z_DIMS = (5, 6, 7, 13, 14, 15)

@@ -14,10 +14,11 @@ from anomform.chroot import (
     monomial_weight,
     power_sum_products,
     power_sums,
-    product_over_roots,
+    product_over_root_pairs,
     sum_over_roots,
 )
-from anomform.qseries import TruncationError
+from anomform.qseries import QQ, HalfQSeries, TruncationError
+from dense_series import poly_mul, product_over_roots
 
 
 def p(profile, i, coeff=1):
@@ -25,18 +26,6 @@ def p(profile, i, coeff=1):
 
 
 # -- independent oracles -------------------------------------------------------
-
-
-def poly_mul_trunc(a, b, n):
-    out = [Fraction(0)] * n
-    for i, ai in enumerate(a[:n]):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= n:
-                break
-            out[i + j] += ai * bj
-    return out
 
 
 def direct_product_truncated(f, values, max_x_degree):
@@ -50,7 +39,7 @@ def direct_product_truncated(f, values, max_x_degree):
     acc[0] = Fraction(1)
     for r in values:
         fr = [f[d] * Fraction(r) ** d if d < len(f) else Fraction(0) for d in range(n)]
-        acc = poly_mul_trunc(acc, fr, n)
+        acc = poly_mul(acc, fr, n)
     return sum(acc)
 
 
@@ -62,7 +51,7 @@ def random_even_series(rng, n, unit=True):
     return out
 
 
-# -- product_over_roots --------------------------------------------------------
+# -- products over the roots, through the reference log ----------------------
 
 
 def test_product_of_constant_one():
@@ -100,7 +89,7 @@ def test_product_multiplicativity_random():
         for _ in range(10):
             f = random_even_series(rng, n)
             g = random_even_series(rng, n)
-            fg = poly_mul_trunc(f, g, n)
+            fg = poly_mul(f, g, n)
             lhs = product_over_roots(fg, profile)
             rhs = product_over_roots(f, profile) * product_over_roots(g, profile)
             assert lhs == rhs
@@ -118,16 +107,12 @@ def test_zero_root_neutrality():
         assert a.items() == b.items()
 
 
-def test_product_rejects_odd_series():
-    profile = RootProfile(2, 4)
-    with pytest.raises(ValueError, match="not even"):
-        product_over_roots([Fraction(1), Fraction(1), Fraction(0)], profile)
-
-
 def test_product_rejects_short_series():
+    # weight 2 needs L_1 and L_2
     profile = RootProfile(4, 8)
+    one = HalfQSeries.one(QQ, 1)
     with pytest.raises(ValueError, match="insufficient"):
-        product_over_roots([Fraction(1), Fraction(0)], profile)
+        product_over_root_pairs(one, (one,), profile)
 
 
 # -- sum_over_roots --------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Characteristic series builders and the angle-convention bookkeeping."""
 
 from fractions import Fraction
-from math import factorial
 
 import pytest
 
-from anomform.chroot import GradedClass, RootProfile, product_over_roots
-from anomform.genera import a_hat, ahat_root_series, cosh_series, l_class, l_root_series
+from anomform import anomaly, genera
+from anomform.anomaly import verify_agw, verify_main_identity
+from anomform.chroot import GradedClass, RootProfile
+from anomform.genera import AHAT, L_FULL, L_HALF, a_hat, genus_pair_log, l_class
+from dense_series import ahat_factor, even_part, exp_poly, product_over_roots, x_over_tanh
 
 
 def p(profile, i, coeff=1):
@@ -14,71 +16,57 @@ def p(profile, i, coeff=1):
 
 
 def spinor_character(profile):
-    """ch of the spinor bundle: prod of 2 cosh(x_j/2) over pairs, a zero root adds nothing."""
-    series = cosh_series(2 * profile.max_weight + 1, half=True, scale=2)
-    return product_over_roots(series, profile, include_zero_root=False)
+    """ch of the spinor bundle of an even-dimensional fiber: prod of 2 cosh(x_j/2)."""
+    assert not profile.has_zero_root
+    n = 2 * profile.max_weight + 1
+    two_cosh = [a + b for a, b in zip(exp_poly(Fraction(1, 2), n), exp_poly(Fraction(-1, 2), n))]
+    return product_over_roots(two_cosh, profile)
 
 
-# -- independent series oracle: build the per-root factors from exponentials --
-
-
-def exp_poly(c, n):
-    """e^(c x) with rational c, dense to degree < n."""
-    return [Fraction(c) ** i / factorial(i) for i in range(n)]
-
-
-def poly_mul(a, b, n):
-    out = [Fraction(0)] * n
-    for i, ai in enumerate(a[:n]):
-        if ai:
-            for j, bj in enumerate(b):
-                if i + j >= n:
-                    break
-                out[i + j] += ai * bj
+def exp_pair_log(f0, logs):
+    """u-coefficients of f0 exp(sum_k l_k u^k): k E_k = sum_(0<j<=k) j l_j E_(k-j)."""
+    out = [f0]
+    for k in range(1, len(logs) + 1):
+        out.append(sum(j * logs[j - 1] * out[k - j] for j in range(1, k + 1)) / k)
     return out
-
-
-def poly_div(num, den, n):
-    """num/den with den[0] != 0, by forward substitution."""
-    out = [Fraction(0)] * n
-    for k in range(n):
-        acc = num[k] if k < len(num) else Fraction(0)
-        for i in range(1, k + 1):
-            if i < len(den):
-                acc -= den[i] * out[k - i]
-        out[k] = acc / den[0]
-    return out
-
-
-def oracle_x_over_tanh(n, half):
-    # x/tanh(ax) = (e^(2ax) + 1) / ((e^(2ax) - 1)/x)
-    a = Fraction(1, 2) if half else Fraction(1)
-    e = exp_poly(2 * a, n + 1)
-    num = list(e)
-    num[0] += 1
-    den_over_x = [e[i + 1] for i in range(n)]
-    return poly_div(num, den_over_x, n)
-
-
-def oracle_ahat_factor(n):
-    # (x/2)/sinh(x/2): sinh(x/2)/(x/2) = (e^(x/2) - e^(-x/2))/x
-    plus = exp_poly(Fraction(1, 2), n + 1)
-    minus = exp_poly(Fraction(-1, 2), n + 1)
-    den = [(plus[i + 1] - minus[i + 1]) for i in range(n)]
-    one = [Fraction(1)] + [Fraction(0)] * (n - 1)
-    return poly_div(one, den, n)
 
 
 def test_root_series_against_exponential_oracles():
-    n = 12
-    assert ahat_root_series(n) == oracle_ahat_factor(n)
-    full = oracle_x_over_tanh(n, half=False)
-    half = oracle_x_over_tanh(n, half=True)
-    assert l_root_series(n, "full") == full
-    assert l_root_series(n, "half") == half
-    assert cosh_series(n, half=True, scale=2) == [
-        (exp_poly(Fraction(1, 2), n)[i] + exp_poly(Fraction(-1, 2), n)[i]) for i in range(n)
-    ]
+    """exp of each closed-form pair log is the per-root factor built from exponentials."""
+    w = 12
+    n = 2 * w + 1
+    oracles = {
+        AHAT: ahat_factor(n),
+        L_FULL: x_over_tanh(n, half=False),
+        L_HALF: x_over_tanh(n, half=True),
+    }
+    for genus, factor in oracles.items():
+        assert exp_pair_log(*genus_pair_log(genus, w)) == even_part(factor)
+
+
+@pytest.mark.parametrize("genus", [AHAT, L_FULL])
+def test_perturbed_genus_constant_fails_agw_and_main_identity(clear_memos, monkeypatch, genus):
+    """l_1 of the A-roof (or the L-class) log moved by 1/7 must fail every
+    AGW formula and the main identity.  `verify routes` cannot catch this:
+    the K-theory prefactor and the theta route's q^0 term read the same
+    constants, so both routes move together."""
+
+    def statuses():
+        agw = [verify_agw(d).status for d in (2, 6, 10)]
+        return agw + [verify_main_identity(d).status for d in (9, 10)]
+
+    assert statuses() == ["pass"] * 5
+
+    def perturbed(g, max_weight):
+        f0, logs = genus_pair_log(g, max_weight)
+        if g == genus:
+            logs = (logs[0] + Fraction(1, 7),) + logs[1:]
+        return f0, logs
+
+    monkeypatch.setattr(genera, "genus_pair_log", perturbed)
+    monkeypatch.setattr(anomaly, "genus_pair_log", perturbed)
+    clear_memos()
+    assert statuses() == ["fail"] * 5
 
 
 # -- frozen class values ---------------------------------------------------------
@@ -127,7 +115,6 @@ def test_l_variant_aliases():
 def test_spinor_rank_dim6():
     profile = RootProfile(6, 8)
     assert spinor_character(profile).constant_term() == 8
-    assert spinor_character(RootProfile(7, 8)).constant_term() == 8  # zero root: no factor
 
 
 def test_spinor_dim2_degree4():

@@ -23,9 +23,10 @@ from anomform.anomaly import (
     theta_quotient_pair_series,
     verify_route_equivalence,
 )
-from anomform.chroot import even_part, pair_log, xseries_inverse, xseries_mul
-from anomform.genera import L_FULL, L_HALF, ahat_root_series, l_root_series
+from anomform.chroot import pair_log
+from anomform.genera import L_FULL, L_HALF
 from anomform.qseries import QQ, HalfQSeries
+from dense_series import ahat_factor, even_part, poly_div, poly_mul, x_over_tanh
 
 KIND_VARIANTS = [
     (P1, L_FULL), (P1, L_HALF), (P2, L_FULL), (Q1, L_FULL), (Q1, L_HALF), (Q2, L_FULL)
@@ -39,15 +40,15 @@ def cosh_form_pair_series(kind, l_variant, order2, max_weight, symmetric=True):
     (1 + s t e^(cx))(1 + s t e^(-cx)) / (1 + s t)^2
     = 1 + 2st/(1+st)^2 (cosh(cx) - 1), and a symmetric-power factor
     (1-q^n)^2 / ((1 - e^(cx) q^n)(1 - e^(-cx) q^n)) is the inverse of that
-    form at s = -1, t = q^n.  The q^0 term is the K-theory prefactor;
-    `symmetric=False` leaves the symmetric-power factors out.
+    form at s = -1, t = q^n.  The q^0 term is the K-theory prefactor, built
+    from exponentials; `symmetric=False` leaves the symmetric-power factors out.
     """
     n_u = max_weight + 1
     if kind in (P2, Q2):
-        prefactor, c = ahat_root_series(2 * max_weight + 1), 1
+        prefactor, c = ahat_factor(2 * max_weight + 1), 1
         lambda_factors = [(2 * n - 1, -1) for n in range(1, order2 // 2 + 1)]
     else:
-        prefactor = l_root_series(2 * max_weight + 1, l_variant)
+        prefactor = x_over_tanh(2 * max_weight + 1, half=l_variant != L_FULL)
         c = 1 if l_variant != L_FULL else 2
         lambda_factors = [(2 * n, 1) for n in range(1, (order2 - 1) // 2 + 1)]
     one = HalfQSeries.one(QQ, order2)
@@ -60,9 +61,9 @@ def cosh_form_pair_series(kind, l_variant, order2, max_weight, symmetric=True):
     series = [one * coeff for coeff in even_part(prefactor)]
     if symmetric:
         for n in range(1, (order2 - 1) // 2 + 1):
-            series = xseries_mul(series, xseries_inverse(cosh_form(2 * n, -1), n_u), n_u)
+            series = poly_div(series, cosh_form(2 * n, -1), n_u)
     for exp2, sign in lambda_factors:
-        series = xseries_mul(series, cosh_form(exp2, sign), n_u)
+        series = poly_mul(series, cosh_form(exp2, sign), n_u)
     return series
 
 

@@ -42,19 +42,10 @@ def test_exterior_powers_vanish_beyond_rank():
     assert not es[4] and not es[5]
 
 
-def test_lambda_trivial_rank_one():
-    # a 1-dimensional fiber carries only the zero root: Lambda_q = 1 + q
-    profile = RootProfile(1, 4)
-    series = lambda_t_character(profile, 1, 2, 8, reduced=False)
-    assert series.coefficient(0) == GradedClass.one(profile)
-    assert series.coefficient(2) == GradedClass.one(profile)
-    assert not series.coefficient(4)
-
-
 def test_lambda_of_reduced_trivial_bundle_is_one():
     # reduced rank cancels: Lambda_t(E - dim E) with E trivial
     profile = RootProfile(1, 4)
-    series = lambda_t_character(profile, 1, 2, 8, reduced=True)
+    series = lambda_t_character(profile, 1, 2, 8)
     assert series == HalfQSeries.one(GradedRing(profile), 8)
 
 
@@ -66,15 +57,6 @@ def test_lambda_minus_qhalf_linear_coefficient():
     assert series.coefficient(1) == expected
 
 
-def test_s_q_trivial_geometric():
-    profile = RootProfile(1, 4)
-    series = s_t_character(profile, 1, 2, 9, reduced=False)
-    one = GradedClass.one(profile)
-    for exp2 in (0, 2, 4, 6, 8):
-        assert series.coefficient(exp2) == one
-    assert not series.coefficient(1)
-
-
 def test_s_q_reduced_linear_coefficient():
     profile = RootProfile(2, 8)
     series = s_t_character(profile, 1, 2, 8)
@@ -82,13 +64,12 @@ def test_s_q_reduced_linear_coefficient():
 
 
 def test_lambda_s_duality():
-    # S_t . Lambda_{-t} = 1 exactly to truncation, reduced and not
+    # S_t . Lambda_{-t} = 1 exactly to truncation
     profile = RootProfile(6, 8)
     for exp2 in (1, 2, 3):
-        for reduced in (False, True):
-            s = s_t_character(profile, 1, exp2, 8, reduced)
-            lam = lambda_t_character(profile, -1, exp2, 8, reduced)
-            assert s * lam == HalfQSeries.one(GradedRing(profile), 8)
+        s = s_t_character(profile, 1, exp2, 8)
+        lam = lambda_t_character(profile, -1, exp2, 8)
+        assert s * lam == HalfQSeries.one(GradedRing(profile), 8)
 
 
 def test_theta2_fourier_coefficients():

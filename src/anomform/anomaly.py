@@ -11,6 +11,18 @@ cancellation combinations, and extracts the integer corollary vectors.
 Everything here is exact rational arithmetic; a report either has an empty
 residual list or names the offending monomials.
 
+Both routes reach the characteristic-form ring through the same partition
+sum, so ``verify_route_equivalence`` compares what differs between them:
+the K-theory route multiplies 2m+4 factor characters, each the exponential
+of its own Adams-operation pair log (``witten``), and applies the genus
+with ``GradedClass.mul_degree``; the theta route adds the genus log to the
+Eisenstein divisor sums of ``_divisor_sum`` and exponentiates that one
+summed log.  The check thus pits a product of exponentials against the
+exponential of a sum, the per-factor Adams sums against the divisor sums,
+and ``mul_degree`` against log addition.  Newton's identities for the
+exterior powers are on neither route: only a test oracle checks the
+factors against them.
+
 Every exact artifact is computed once per identity class, the (case, m,
 degree) that ``modforms.identity_parameters`` assigns a fiber dimension:
 8m+1..8m+3 (b case) or 8m-3..8m-1 (z case) at degree 8m+4 or 8m.  At

@@ -12,9 +12,11 @@ via the even power sums S_k = sum_j x_j^(2k), not in the roots themselves.
 A product takes the factor f as its pair log: f0 = f(0) and
 log(f/f0) = sum_k L_k u^k in u = x^2, with rational or rational q-series
 L_k.  The callers write these logs in closed form (``genera`` for the
-A-roof and the L-class, ``anomaly`` for the theta quotients), so no series
-in x is formed.  A product over root pairs is then f0^r exp(sum_k L_k S_k),
-with r the number of pairs plus one for a zero root; its weight-v part is the
+A-roof and the L-class, ``witten`` for the reduced Lambda_t and S_t factors
+of the Witten bundles, ``anomaly`` for the theta quotients), so no series
+in x is formed and no series is inverted.  A product over root pairs is
+then f0^r exp(sum_k L_k S_k), with r the number of pairs plus one for a
+zero root; its weight-v part is the
 cycle-index sum over the partitions lambda of v (Macdonald, *Symmetric
 Functions and Hall Polynomials*, I.2)
 
@@ -380,13 +382,6 @@ class GradedRing:
             return value
         return GradedClass.constant(self.profile, Fraction(value))
 
-    def invert(self, value: GradedClass) -> GradedClass:
-        """1/c for a nonzero constant class c; a class with form content raises."""
-        c0 = value.constant_term()
-        if not c0 or value.positive_part():
-            raise ZeroDivisionError("only a nonzero constant class is inverted")
-        return GradedClass.constant(self.profile, Fraction(1) / c0)
-
     def series_mul(self, a: dict, b: dict, order2: int) -> dict:
         """exp2 -> GradedClass product of two series: the bigraded kernel.
 
@@ -470,23 +465,6 @@ def power_sum_products(profile: RootProfile, weight: int) -> tuple:
                 prod = _graded_product(psums[k - 1]._comp, s, weight, profile.max_weight)
                 out.append(((k,) + rest, {m: c.numerator for m, c in prod.items()}))
     return tuple(out)
-
-
-def elementary_from_power_sums(psums: list, k_max: int, one):
-    """e_0..e_k_max from power sums N_1..N_k_max (Newton, any ring).
-
-    e_k = (1/k) * sum_{i=1..k} (-1)^(i-1) e_(k-i) N_i.
-    """
-    es = [one]
-    for k in range(1, k_max + 1):
-        acc = None
-        for i in range(1, k + 1):
-            term = es[k - i] * psums[i - 1]
-            if i % 2 == 0:
-                term = -term
-            acc = term if acc is None else acc + term
-        es.append(acc * Fraction(1, k))
-    return es
 
 
 def pair_log(u_coeffs: list) -> tuple:

@@ -7,11 +7,13 @@ with exp2 >= order2 are unknown, not zero.
 
 Coefficients come from a pluggable commutative ring.  The rationals are
 provided here (``QQ``); the graded characteristic-class ring plugs in the
-same small protocol (``zero``, ``one``, ``coerce``, ``invert``,
-``series_mul``, ``coeff_to_obj``) from its own module.  A q-series of
-characteristic forms is always a series over that ring: the Witten bundles'
-virtual characters and the theta-quotient root products alike.  No
-floating point is used anywhere in this module.
+same small protocol (``zero``, ``one``, ``coerce``, ``series_mul``,
+``coeff_to_obj``) from its own module.  Only ``QQ`` also has ``invert``,
+which ``HalfQSeries.inverse`` and division need: no series over the graded
+ring is inverted.  A q-series of characteristic forms is always a series
+over that ring: the Witten bundles' virtual characters and the
+theta-quotient root products alike.  No floating point is used anywhere in
+this module.
 
 Series products have integer numerators: ``HalfQSeries.__mul__`` fixes the
 result's ``order2`` and hands both coefficient dicts to the ring's

@@ -8,75 +8,77 @@ theta bundles are the q^(1/2)-series tensor products
     Theta_1 = prod_n S_{q^n}(reduced T_C Z) . prod_m Lambda_{q^m}(reduced T_C Z)
     Theta_2 = prod_n S_{q^n}(reduced T_C Z) . prod_m Lambda_{-q^(m-1/2)}(reduced T_C Z)
 
-built factor by factor from exterior-power characters.  The exterior powers
-themselves come from Newton's identities applied to the root-exponential
-power sums, so no root monomials are ever expanded.  `theta_bundle` is the
-memoised entry point every caller uses: one build per (kind, profile) and
-process, truncated for smaller requests; `build_theta_bundle` always builds.
+built factor by factor.  Each factor comes from the Adams-operation form
+of the lambda-operations (Atiyah, *K-Theory*, 1967)
+
+    Lambda_t = exp(sum_k (-1)^(k-1) psi^k t^k / k),   S_t = exp(sum_k psi^k t^k / k),
+
+where ch psi^k of the reduced bundle is the sum over roots of e^(kx) - 1,
+so one root pair contributes 2 (cosh(kx) - 1).  A factor is therefore a
+product over root pairs (``chroot.product_over_root_pairs``) with f0 = 1
+and the pair log in u = x^2
+
+    Lambda_t:  L_n(t) = 2/(2n)! * sum_k (-1)^(k-1) k^(2n-1) t^k
+    S_t:       L_n(t) = 2/(2n)! * sum_k k^(2n-1) t^k
+
+at t = +-q^(e/2): a zero root contributes nothing, and no exterior power
+is formed and no series inverted.  `theta_bundle` is the memoised entry
+point every caller uses: one build per (kind, profile) and process,
+truncated for smaller requests; `build_theta_bundle` always builds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from .chroot import (
     GradedClass,
     GradedRing,
     RootProfile,
-    elementary_from_power_sums,
+    product_over_root_pairs,
     sum_over_roots,
 )
 from .qseries import QQ, HalfQSeries
 
 
-def chern_character(profile: RootProfile, power: int = 1) -> GradedClass:
-    """ch of the complexified vertical tangent bundle with roots scaled by `power`.
-
-    power = 1 gives ch(T_C Z); higher powers are the exponential power sums
-    sum over roots of e^(k.x) feeding Newton's identities.
-    """
+def chern_character(profile: RootProfile) -> GradedClass:
+    """ch of the complexified vertical tangent bundle: sum over roots of e^x."""
     n = 2 * profile.max_weight + 1
-    g = [Fraction(power) ** i / factorial(i) for i in range(n)]
-    return sum_over_roots(g, profile)
+    return sum_over_roots([Fraction(1, factorial(i)) for i in range(n)], profile)
 
 
-@lru_cache(maxsize=None)
-def exterior_power_characters(profile: RootProfile, k_max: int) -> tuple:
-    """(ch Lambda^0, ..., ch Lambda^k_max) of T_C Z, via Newton's identities."""
-    psums = [chern_character(profile, k) for k in range(1, k_max + 1)]
-    es = elementary_from_power_sums(psums, k_max, GradedClass.one(profile))
-    return tuple(es)
+def _reduced_factor(
+    adams_sign: int, profile: RootProfile, t_sign: int, t_exp2: int, order2: int
+) -> HalfQSeries:
+    """exp(sum_k adams_sign^(k-1) ch psi^k(T_C Z - dim) t^k / k), t = t_sign q^(t_exp2/2).
 
-
-def lambda_t_character(profile: RootProfile, t_sign: int, t_exp2: int, order2: int) -> HalfQSeries:
-    """ch Lambda_t of the reduced bundle T_C Z - dim at t = t_sign * q^(t_exp2/2).
-
-    A finite sum: prod over roots (1 + t e^root) = sum_k ch(Lambda^k) t^k,
-    divided by (1 + t)^fiber_dim per the lambda-operation quotient rule for
-    virtual differences.
+    adams_sign = -1 gives Lambda_t and +1 gives S_t, through the pair log of
+    the module doc.
     """
     if t_exp2 <= 0:
         raise ValueError("t must carry a positive power of q")
     if t_sign not in (1, -1):
         raise ValueError("t_sign must be +1 or -1")
-    ring = GradedRing(profile)
-    k_max = min((order2 - 1) // t_exp2, profile.fiber_dim)
-    es = exterior_power_characters(profile, k_max)
-    coeffs = {}
-    for k in range(k_max + 1):
-        coeff = es[k] if t_sign == 1 or k % 2 == 0 else -es[k]
-        coeffs[k * t_exp2] = coeff
-    series = HalfQSeries(ring, coeffs, order2)
-    unit = HalfQSeries.from_terms(QQ, [(0, 1), (t_exp2, t_sign)], order2)
-    return series * (unit**profile.fiber_dim).inverse().lift_to(ring)
+    # t^k carries the sign t_sign^k, and Lambda_t's Adams sign (-1)^(k-1) besides
+    signs = {k: adams_sign ** (k - 1) * t_sign**k for k in range(1, (order2 - 1) // t_exp2 + 1)}
+    logs = []
+    for n in range(1, profile.max_weight + 1):
+        scale = Fraction(2, factorial(2 * n))
+        terms = {k * t_exp2: scale * s * k ** (2 * n - 1) for k, s in signs.items()}
+        logs.append(HalfQSeries(QQ, terms, order2))
+    return product_over_root_pairs(HalfQSeries.one(QQ, order2), logs, profile)
+
+
+def lambda_t_character(profile: RootProfile, t_sign: int, t_exp2: int, order2: int) -> HalfQSeries:
+    """ch Lambda_t of the reduced bundle T_C Z - dim at t = t_sign * q^(t_exp2/2)."""
+    return _reduced_factor(-1, profile, t_sign, t_exp2, order2)
 
 
 def s_t_character(profile: RootProfile, t_sign: int, t_exp2: int, order2: int) -> HalfQSeries:
-    """ch S_t of the reduced bundle: 1 / ch Lambda_{-t}(T_C Z - dim)."""
-    return lambda_t_character(profile, -t_sign, t_exp2, order2).inverse()
+    """ch S_t of the reduced bundle T_C Z - dim at t = t_sign * q^(t_exp2/2)."""
+    return _reduced_factor(1, profile, t_sign, t_exp2, order2)
 
 
 THETA1 = "theta1"

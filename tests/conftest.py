@@ -8,7 +8,6 @@ from anomform import anomaly, chroot, genera, modforms, witten
 _MEMOS = (
     chroot.power_sums,
     chroot.power_sum_products,
-    witten.exterior_power_characters,
     witten.theta_bundle,
     modforms._modular_basis,
     modforms.decompose_theta2,

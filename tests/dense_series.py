@@ -1,10 +1,13 @@
-"""Dense x-series oracles shared by the tests.
+"""Dense x-series and Newton-identity oracles shared by the tests.
 
 A dense series is a list of coefficients indexed by the power of x:
 rationals, or rational q-series for the theta-quotient factors.  The
 library never forms one: it writes every per-root factor as a closed-form
 pair log.  These helpers build the factors themselves, from exponentials
 and schoolbook products and quotients, so the tests can compare the two.
+Likewise the library never forms an exterior power: the Witten bundle
+factors are Adams-operation pair logs, which the tests compare against
+Newton's identities (``elementary_from_power_sums``).
 """
 
 from fractions import Fraction
@@ -72,3 +75,20 @@ def product_over_roots(f, profile):
     f0, logs = pair_log([Fraction(c) for c in even_part(f)[: profile.max_weight + 1]])
     f0, *logs = (HalfQSeries(QQ, {0: c}, 1) for c in (f0, *logs))
     return product_over_root_pairs(f0, logs, profile).coefficient(0)
+
+
+def elementary_from_power_sums(psums, k_max, one):
+    """e_0..e_k_max from power sums N_1..N_k_max (Newton, any ring).
+
+    e_k = (1/k) * sum_{i=1..k} (-1)^(i-1) e_(k-i) N_i.
+    """
+    es = [one]
+    for k in range(1, k_max + 1):
+        acc = None
+        for i in range(1, k + 1):
+            term = es[k - i] * psums[i - 1]
+            if i % 2 == 0:
+                term = -term
+            acc = term if acc is None else acc + term
+        es.append(acc * Fraction(1, k))
+    return es

@@ -8,7 +8,6 @@ import pytest
 
 from anomform.chroot import (
     GradedClass,
-    GradedRing,
     RootProfile,
     eval_at_roots,
     monomial_weight,
@@ -290,15 +289,3 @@ def test_newton_roundtrip_weight_five():
         if has_zero:
             oracle *= f[0]
         assert via_classes == oracle, f"trial {trial}: {via_classes} != {oracle}"
-
-
-def test_graded_ring_inverts_only_constant_classes():
-    profile = RootProfile(6, 8)
-    ring = GradedRing(profile)
-    assert ring.invert(GradedClass.constant(profile, 4)) == GradedClass.constant(
-        profile, Fraction(1, 4)
-    )
-    with pytest.raises(ZeroDivisionError):
-        ring.invert(GradedClass.one(profile) + p(profile, 1))
-    with pytest.raises(ZeroDivisionError):
-        ring.invert(GradedClass.zero(profile))

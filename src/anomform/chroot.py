@@ -25,10 +25,11 @@ Functions and Hall Polynomials*, I.2)
 with m_k the number of parts k of lambda and S^lambda = prod_i S_(lambda_i).
 ``power_sum_products`` memoises S^lambda per (profile, v) as an integer
 p-monomial dict (Newton's S_k are integral in the p_i).  The L_k are
-rational q-series; each partition's coefficient is one ``QQ`` series
-product from a shorter partition's.  For each q-power the coefficients are
-cleared to one denominator, the integer S^lambda accumulated, and one
-``Fraction`` built per (exp2, monomial): no class product, no exponential.
+rational q-series, cleared to integers once per call; each partition's
+coefficient is an integer q-series over its own denominator, one
+convolution from a shorter partition's.  For each q-power the S^lambda are
+summed over the partitions' common denominator: no class product, no
+exponential, no ``Fraction`` per monomial.
 ``pair_log`` is the reference log of an f given by its u-coefficients,
 which tests compare the closed forms against.  It takes the log in one
 pass: with g = f/f0, u g' = g (u log g)' gives
@@ -44,22 +45,23 @@ Jung, *Manifolds and Modular Forms*):
   pairs above the truncation are never formed.  Monomials travel through
   the loop as integer codes (exponents as base-(top weight + 1) digits), so
   a monomial product is one integer addition.
-- **Integer numerators.** Coefficients are ``Fraction``s; each operand is
-  cleared to integers over its common denominator once, the loop
-  multiplies and accumulates integers, and one ``Fraction`` is built per
-  output monomial.
+- **Integer numerators.** A class is integer numerators over one
+  denominator in lowest terms, so equal classes compare equal.  The loop
+  multiplies numerators, the denominators multiply, and one gcd reduces the
+  result; a ``Fraction`` is built only to read a coefficient.
 - **Degree-only products.** ``GradedClass.mul_degree`` restricts the window
   to a single weight, so ``(a * b).degree_component(d)`` is computed without
   forming the rest of the product.
 - **Bigraded series kernel.** A q-series over ``GradedRing`` (the Witten
   bundles) is multiplied by ``GradedRing.series_mul``.  Each operand series
-  is cleared to integers over one denominator; for each output exponent the
-  same buckets, codes and loop accumulate the integer products of every pair
-  of q-terms, and one ``Fraction`` is built per output (exp2, monomial).  No
-  ``GradedClass`` product or sum is formed per pair of q-terms.
+  is put over the lcm of its classes' denominators; for each output
+  exponent the same buckets, codes and loop accumulate the integer products
+  of every pair of q-terms.  No ``GradedClass`` product or sum is formed per
+  pair of q-terms.
 
-The output of the kernels and the partition sum is already clean (trimmed,
-in range, nonzero), so it is wrapped into a ``GradedClass`` as it is.
+Kernel output is clean (trimmed, in range, nonzero), so ``_wrap`` adopts it
+after one gcd.  Integrality is checked, not asserted: ArithmeticError on
+power sums with a denominator and on a denominator <= 0 in ``_wrap``.
 """
 
 from __future__ import annotations
@@ -67,8 +69,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
-from .qseries import QQ, HalfQSeries, TruncationError, integer_numerators, power
+from .qseries import HalfQSeries, TruncationError, convolve, integer_numerators, power
 
 
 @dataclass(frozen=True)
@@ -157,29 +160,35 @@ def _accumulate(acc: dict, a: dict, buckets: list, base: int, w_lo: int, w_hi: i
                 acc[k] = acc[k] + prod if k in acc else prod
 
 
+def _reduced(num: dict, den: int) -> tuple:
+    """(num, den) with their common gcd divided out."""
+    g = gcd(den, *num.values())
+    return ({k: n // g for k, n in num.items()}, den // g) if g != 1 else (num, den)
+
+
 def _graded_product(a: dict, b: dict, w_lo: int, w_hi: int) -> dict:
-    """Monomial-dict product keeping only weights w_lo..w_hi.
+    """Integer monomial-dict product keeping only weights w_lo..w_hi.
 
     The one multiplication kernel of the ring: `a` and `b` map trimmed
-    p-monomials to coefficients of any ring.  Returns a dict of trimmed
-    monomials with nonzero coefficients.  Every exponent of a kept product
-    is at most w_hi, so base-(w_hi + 1) codes never carry.
+    p-monomials to integer numerators.  Returns a dict of trimmed monomials
+    with nonzero integers.  Every exponent of a kept product is at most
+    w_hi, so base-(w_hi + 1) codes never carry.
     """
     if not a or not b:
         return {}
-    (a,), den_a = integer_numerators([a])
-    (b,), den_b = integer_numerators([b])
     base = w_hi + 1
     acc = {}
     _accumulate(acc, a, _weight_buckets(b, base, w_hi), base, w_lo, w_hi)
-    den = den_a * den_b
-    return {_code_mon(k, base): Fraction(n, den) for k, n in acc.items() if n}
+    return {_code_mon(k, base): n for k, n in acc.items() if n}
 
 
 class GradedClass:
-    """Element of the truncated Pontryagin-class ring of a RootProfile."""
+    """Element of the truncated Pontryagin-class ring of a RootProfile.
 
-    __slots__ = ("profile", "_comp")
+    Integer numerators `_num` over one denominator `_den`, in lowest terms.
+    """
+
+    __slots__ = ("profile", "_num", "_den")
 
     def __init__(self, profile: RootProfile, components: dict):
         comp = {}
@@ -194,26 +203,38 @@ class GradedClass:
             c = Fraction(c)
             if c:
                 comp[mon] = comp[mon] + c if mon in comp else c
+        (num,), den = integer_numerators([comp])
         self.profile = profile
-        self._comp = {m: c for m, c in comp.items() if c}
+        self._num = {m: c for m, c in num.items() if c}
+        self._den = den
 
     @classmethod
-    def _wrap(cls, profile: RootProfile, comp: dict) -> "GradedClass":
-        """Adopt a clean dict: trimmed monomials in range, nonzero Fractions."""
+    def _wrap(cls, profile: RootProfile, num: dict, den: int = 1) -> "GradedClass":
+        """Adopt nonzero numerators of trimmed in-range monomials over den > 0, reduced."""
+        if den <= 0:
+            raise ArithmeticError(f"class denominator must be positive, got {den}")
+        if den != 1:
+            num, den = _reduced(num, den)
         obj = object.__new__(cls)
         obj.profile = profile
-        obj._comp = comp
+        obj._num = num
+        obj._den = den
         return obj
+
+    def _scaled(self, den: int) -> dict:
+        """The numerators over `den`, a multiple of the class's denominator."""
+        k = den // self._den
+        return self._num if k == 1 else {m: c * k for m, c in self._num.items()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, profile: RootProfile) -> "GradedClass":
-        return cls(profile, {})
+        return cls._wrap(profile, {})
 
     @classmethod
     def one(cls, profile: RootProfile) -> "GradedClass":
-        return cls(profile, {(): Fraction(1)})
+        return cls._wrap(profile, {(): 1})
 
     @classmethod
     def constant(cls, profile: RootProfile, value) -> "GradedClass":
@@ -230,13 +251,14 @@ class GradedClass:
     # -- inspection --------------------------------------------------------
 
     def items(self):
-        return sorted(self._comp.items(), key=lambda kv: _grlex_key(kv[0]))
+        den = self._den
+        return [(m, Fraction(self._num[m], den)) for m in sorted(self._num, key=_grlex_key)]
 
     def coefficient(self, mon: tuple) -> Fraction:
-        return self._comp.get(_trim(tuple(mon)), Fraction(0))
+        return Fraction(self._num.get(_trim(tuple(mon)), 0), self._den)
 
     def constant_term(self) -> Fraction:
-        return self._comp.get((), Fraction(0))
+        return Fraction(self._num.get((), 0), self._den)
 
     def _degree_weight(self, d: int):
         """p-weight of form degree d, or None when d is not a multiple of 4."""
@@ -253,21 +275,20 @@ class GradedClass:
         w = self._degree_weight(d)
         if w is None:
             return GradedClass.zero(self.profile)
-        return GradedClass._wrap(
-            self.profile,
-            {m: c for m, c in self._comp.items() if monomial_weight(m) == w},
-        )
+        num = {m: c for m, c in self._num.items() if monomial_weight(m) == w}
+        return GradedClass._wrap(self.profile, num, self._den)
 
     def positive_part(self) -> "GradedClass":
-        return GradedClass._wrap(self.profile, {m: c for m, c in self._comp.items() if m})
+        num = {m: c for m, c in self._num.items() if m}
+        return GradedClass._wrap(self.profile, num, self._den)
 
     def __bool__(self) -> bool:
-        return bool(self._comp)
+        return bool(self._num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedClass):
             return NotImplemented
-        return self.profile == other.profile and self._comp == other._comp
+        return self.profile == other.profile and (self._den, self._num) == (other._den, other._num)
 
     __hash__ = None
 
@@ -281,20 +302,21 @@ class GradedClass:
         if not isinstance(other, GradedClass):
             other = GradedClass.constant(self.profile, other)
         self._check(other)
-        comp = dict(self._comp)
-        for m, c in other._comp.items():
-            if m in comp:
-                c = comp[m] + c
+        den = lcm(self._den, other._den)
+        num = dict(self._scaled(den))
+        for m, c in other._scaled(den).items():
+            if m in num:
+                c += num[m]
                 if not c:
-                    del comp[m]
+                    del num[m]
                     continue
-            comp[m] = c
-        return GradedClass._wrap(self.profile, comp)
+            num[m] = c
+        return GradedClass._wrap(self.profile, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedClass._wrap(self.profile, {m: -c for m, c in self._comp.items()})
+        return GradedClass._wrap(self.profile, {m: -c for m, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         if not isinstance(other, GradedClass):
@@ -309,14 +331,12 @@ class GradedClass:
             scalar = Fraction(other)
             if not scalar:
                 return GradedClass.zero(self.profile)
-            return GradedClass._wrap(
-                self.profile, {m: c * scalar for m, c in self._comp.items()}
-            )
+            n = scalar.numerator
+            num = {m: c * n for m, c in self._num.items()}
+            return GradedClass._wrap(self.profile, num, self._den * scalar.denominator)
         self._check(other)
-        return GradedClass._wrap(
-            self.profile,
-            _graded_product(self._comp, other._comp, 0, self.profile.max_weight),
-        )
+        num = _graded_product(self._num, other._num, 0, self.profile.max_weight)
+        return GradedClass._wrap(self.profile, num, self._den * other._den)
 
     def mul_degree(self, other: "GradedClass", d: int) -> "GradedClass":
         """(self * other).degree_component(d) without forming the other degrees."""
@@ -324,7 +344,8 @@ class GradedClass:
         w = self._degree_weight(d)
         if w is None:
             return GradedClass.zero(self.profile)
-        return GradedClass._wrap(self.profile, _graded_product(self._comp, other._comp, w, w))
+        num = _graded_product(self._num, other._num, w, w)
+        return GradedClass._wrap(self.profile, num, self._den * other._den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -343,7 +364,7 @@ class GradedClass:
         )
 
     def __repr__(self) -> str:
-        if not self._comp:
+        if not self._num:
             return "0"
         parts = []
         for mon, c in self.items():
@@ -385,19 +406,19 @@ class GradedRing:
     def series_mul(self, a: dict, b: dict, order2: int) -> dict:
         """exp2 -> GradedClass product of two series: the bigraded kernel.
 
-        Each operand series is cleared to integers over one denominator;
-        integers are accumulated one output exponent at a time with
-        `_graded_product`'s buckets and codes, and one Fraction is built per
-        output (exp2, monomial).  Returns nonzero classes for exp2 < order2.
+        Each operand series is put over the lcm of its classes' denominators
+        (a class is rescaled only when its own differs); integers are
+        accumulated one output exponent at a time with `_graded_product`'s
+        buckets and codes, and each output class is wrapped with one gcd.
+        Returns nonzero classes for exp2 < order2.
         """
         if not a or not b:
             return {}
         w_hi = self.profile.max_weight
         base = w_hi + 1
-        a_parts, den_a = integer_numerators([c._comp for c in a.values()])
-        b_parts, den_b = integer_numerators([c._comp for c in b.values()])
-        left = list(zip(a, a_parts))
-        right = {e: _weight_buckets(p, base, w_hi) for e, p in zip(b, b_parts)}
+        den_a, den_b = (lcm(*[c._den for c in x.values()]) for x in (a, b))
+        left = [(e, c._scaled(den_a)) for e, c in a.items()]
+        right = {e: _weight_buckets(c._scaled(den_b), base, w_hi) for e, c in b.items()}
         den = den_a * den_b
         out = {}
         for e in range(order2):
@@ -406,9 +427,9 @@ class GradedRing:
                 buckets = right.get(e - e1)
                 if buckets is not None:
                     _accumulate(acc, part, buckets, base, 0, w_hi)
-            comp = {_code_mon(k, base): Fraction(n, den) for k, n in acc.items() if n}
-            if comp:
-                out[e] = GradedClass._wrap(self.profile, comp)
+            num = {_code_mon(k, base): n for k, n in acc.items() if n}
+            if num:
+                out[e] = GradedClass._wrap(self.profile, num, den)
         return out
 
     def coeff_to_obj(self, value: GradedClass) -> list:
@@ -457,13 +478,15 @@ def power_sum_products(profile: RootProfile, weight: int) -> tuple:
     if not weight:
         return (((), {(): 1}),)
     psums = power_sums(profile, profile.max_weight)
+    if any(s._den != 1 for s in psums):
+        raise ArithmeticError("power sums must have integer coefficients in the p_i")
     out = []
     for k in range(weight, 0, -1):
         for rest, s in power_sum_products(profile, weight - k):
             if rest[:1] <= (k,):  # parts stay non-increasing
                 # the profile's code base, shared with its other products' memos
-                prod = _graded_product(psums[k - 1]._comp, s, weight, profile.max_weight)
-                out.append(((k,) + rest, {m: c.numerator for m, c in prod.items()}))
+                prod = _graded_product(psums[k - 1]._num, s, weight, profile.max_weight)
+                out.append(((k,) + rest, prod))
     return tuple(out)
 
 
@@ -496,17 +519,19 @@ def product_over_root_pairs(
     if len(logs) < w_max:
         raise ValueError("insufficient input truncation for the requested form degree")
     order2 = min(s.order2 for s in (f0, *logs[:w_max]))
-    logs = [dict(s.items()) for s in logs[:w_max]]
+    # q-series below are exp2 -> integer numerator over a denominator
+    logs, l_den = integer_numerators([dict(s.items()) for s in logs[:w_max]])
     exponent = profile.n_pairs + (1 if profile.has_zero_root else 0)
-    coeffs = {(): dict((f0**exponent).truncate(order2).items())}
+    (f0_num,), f0_den = integer_numerators([dict((f0**exponent).truncate(order2).items())])
+    coeffs = {(): (f0_num, f0_den)}
 
     def coefficient(parts):
-        """f0^r prod_k L_k^(m_k) / m_k!: one series product per appended part."""
+        """f0^r prod_k L_k^(m_k) / m_k!: one integer convolution per appended part."""
         if parts not in coeffs:
             k = parts[-1]
-            prod = QQ.series_mul(coefficient(parts[:-1]), logs[k - 1], order2)
-            m_k = parts.count(k)
-            coeffs[parts] = {e: c / m_k for e, c in prod.items()} if m_k > 1 else prod
+            num, den = coefficient(parts[:-1])
+            num = convolve(num, logs[k - 1], order2)
+            coeffs[parts] = _reduced(num, den * l_den * parts.count(k))
         return coeffs[parts]
 
     rows = [
@@ -515,19 +540,17 @@ def product_over_root_pairs(
         for parts, s in power_sum_products(profile, v)
         if s
     ]
+    den = lcm(*[d for (_, d), _ in rows])
+    rows = [({e: n * (den // d) for e, n in num.items()}, s) for (num, d), s in rows]
     out = {}
     for e in range(order2):
-        column = {i: c[e] for i, (c, _) in enumerate(rows) if e in c}
-        if not column:
-            continue
-        (column,), den = integer_numerators([column])
         acc = {}
-        for i, n in column.items():
-            for mon, s_coef in rows[i][1].items():
-                acc[mon] = acc[mon] + n * s_coef if mon in acc else n * s_coef
-        comp = {mon: Fraction(n, den) for mon, n in acc.items() if n}
-        if comp:
-            out[e] = GradedClass._wrap(profile, comp)
+        for num, s in rows:
+            n = num.get(e)
+            if n:
+                for mon, s_coef in s.items():
+                    acc[mon] = acc[mon] + n * s_coef if mon in acc else n * s_coef
+        out[e] = GradedClass._wrap(profile, {mon: n for mon, n in acc.items() if n}, den)
     return HalfQSeries(GradedRing(profile), out, order2)
 
 
@@ -560,7 +583,7 @@ def eval_at_roots(cls: GradedClass, values: list) -> Fraction:
         for i in range(n, 0, -1):
             e[i] = e[i] + y * e[i - 1]
     total = Fraction(0)
-    for mon, c in cls._comp.items():
+    for mon, c in cls.items():
         term = c
         for i, a in enumerate(mon):
             if a:

@@ -172,7 +172,9 @@ def combination_matrix(weight: int) -> list:
 def _solve(f: HalfQSeries, weight: int):
     """(xs, recon): basis coefficients of f and their sum, at f.order2.
 
-    The xs are the combination matrix applied to q^0..q^(m/2) of f.
+    The xs are the combination matrix applied to q^0..q^(m/2) of f.  Each
+    exponent of the reconstruction is sum_r (rational basis coefficient) *
+    x_r, a scalar multiple of each x_r: no ring product is formed.
     """
     m = weight // 4
     if f.order2 < m + 1:
@@ -182,10 +184,12 @@ def _solve(f: HalfQSeries, weight: int):
     rows = combination_matrix(weight)
     window = [f.coefficient(j) for j in range(m + 1)]
     xs = [sum((c * k for c, k in zip(window, row) if k), f.ring.zero) for row in rows]
-    recon = HalfQSeries.zero(f.ring, f.order2)
-    for x, b in zip(xs, modular_basis(weight, f.order2)):
-        recon = recon + b.lift_to(f.ring) * x
-    return xs, recon
+    basis = modular_basis(weight, f.order2)
+    recon = {}
+    for e in range(f.order2):
+        terms = [x * c for x, c in zip(xs, (b.coefficient(e) for b in basis)) if c]
+        recon[e] = sum(terms, f.ring.zero)
+    return xs, HalfQSeries(f.ring, recon, f.order2)
 
 
 def basis_decompose(f: HalfQSeries, weight: int) -> list:

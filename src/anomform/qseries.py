@@ -17,11 +17,14 @@ this module.
 
 Series products have integer numerators: ``HalfQSeries.__mul__`` fixes the
 result's ``order2`` and hands both coefficient dicts to the ring's
-``series_mul`` kernel.  A kernel clears each operand to integers over one
-common denominator (``integer_numerators``), convolves the integers, and
-builds one coefficient per output exponent, so no rational is formed per
-pair of terms.  ``QQ``'s kernel is here; the graded ring's multiplies the
-p-monomials of every pair of q-terms in the same integer loop.
+``series_mul`` kernel.  ``QQ``'s kernel clears each operand to integers over
+one common denominator (``integer_numerators``), convolves the integers
+(``convolve``), and builds one ``Fraction`` per output exponent, so no
+rational is formed per pair of terms.  Graded classes already are integer
+numerators over one denominator, so the graded ring's kernel clears
+nothing; ``integer_numerators`` is called there only on rational input (a
+class built from rational coefficients, and the pair logs of a product over
+roots, once per call).
 """
 
 from __future__ import annotations
@@ -44,6 +47,19 @@ def integer_numerators(parts: list) -> tuple:
     return [
         {k: c.numerator * (den // c.denominator) for k, c in part.items()} for part in parts
     ], den
+
+
+def convolve(a: dict, b: dict, order2: int) -> dict:
+    """exp2 -> nonzero sum of a[e1] * b[e2] over e1 + e2 = exp2 < order2."""
+    acc = [0] * order2
+    right = sorted(b.items())
+    for e1, n1 in a.items():
+        for e2, n2 in right:
+            e = e1 + e2
+            if e >= order2:
+                break
+            acc[e] += n1 * n2
+    return {e: n for e, n in enumerate(acc) if n}
 
 
 class RationalRing:
@@ -75,16 +91,8 @@ class RationalRing:
             return {}
         (a,), den_a = integer_numerators([a])
         (b,), den_b = integer_numerators([b])
-        acc = [0] * order2
-        right = sorted(b.items())
-        for e1, n1 in a.items():
-            for e2, n2 in right:
-                e = e1 + e2
-                if e >= order2:
-                    break
-                acc[e] += n1 * n2
         den = den_a * den_b
-        return {e: Fraction(n, den) for e, n in enumerate(acc) if n}
+        return {e: Fraction(n, den) for e, n in convolve(a, b, order2).items()}
 
     def coeff_to_obj(self, value: Fraction) -> str:
         return str(value)
@@ -311,10 +319,6 @@ class HalfQSeries:
     def map_coefficients(self, fn, ring) -> "HalfQSeries":
         """New series over `ring` with fn applied to each coefficient."""
         return HalfQSeries(ring, {e: fn(c) for e, c in self._coeffs.items()}, self.order2)
-
-    def lift_to(self, ring) -> "HalfQSeries":
-        """Reinterpret rational coefficients inside a larger ring."""
-        return self.map_coefficients(lambda c: ring.one * c, ring)
 
     # -- presentation ------------------------------------------------------
 

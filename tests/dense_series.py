@@ -7,7 +7,10 @@ pair log.  These helpers build the factors themselves, from exponentials
 and schoolbook products and quotients, so the tests can compare the two.
 Likewise the library never forms an exterior power: the Witten bundle
 factors are Adams-operation pair logs, which the tests compare against
-Newton's identities (``elementary_from_power_sums``).
+Newton's identities (``elementary_from_power_sums``).  The library keeps a
+graded class as integer numerators over one denominator; the Fraction-dict
+products here (``graded_product``, ``graded_series_product``) hold one
+``Fraction`` per p-monomial and multiply every pair of monomials.
 """
 
 from fractions import Fraction
@@ -92,3 +95,54 @@ def elementary_from_power_sums(psums, k_max, one):
             acc = term if acc is None else acc + term
         es.append(acc * Fraction(1, k))
     return es
+
+
+def graded_product(a, b, w_lo, w_hi):
+    """Product of p-monomial -> Fraction dicts keeping weights w_lo..w_hi.
+
+    Schoolbook: every pair of monomials, exponent tuples added and trimmed.
+    Returns nonzero coefficients only.
+    """
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            n = max(len(m1), len(m2))
+            mon = [(m1[i] if i < len(m1) else 0) + (m2[i] if i < len(m2) else 0) for i in range(n)]
+            while mon and not mon[-1]:
+                mon.pop()
+            if w_lo <= sum((i + 1) * e for i, e in enumerate(mon)) <= w_hi:
+                mon = tuple(mon)
+                out[mon] = out.get(mon, 0) + c1 * c2
+    return {m: Fraction(c) for m, c in out.items() if c}
+
+
+def graded_series_product(a, b, order2, w_hi):
+    """exp2 -> Fraction dict of two exp2 -> Fraction-dict series, below order2."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            if e1 + e2 < order2:
+                acc = out.setdefault(e1 + e2, {})
+                for m, c in graded_product(c1, c2, 0, w_hi).items():
+                    acc[m] = acc.get(m, 0) + c
+    out = {e: {m: c for m, c in acc.items() if c} for e, acc in out.items()}
+    return {e: acc for e, acc in out.items() if acc}
+
+
+def monomials(profile):
+    """All trimmed p-monomials of weight <= max_weight with at most n_pairs parts."""
+
+    def exponents(i, room):
+        if i > profile.n_pairs:
+            yield ()
+            return
+        for a in range(room // i + 1):
+            for rest in exponents(i + 1, room - a * i):
+                yield (a,) + rest
+
+    out = set()
+    for mon in exponents(1, profile.max_weight):
+        while mon and not mon[-1]:
+            mon = mon[:-1]
+        out.add(mon)
+    return sorted(out)

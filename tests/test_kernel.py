@@ -14,32 +14,13 @@ from anomform.chroot import (
     product_over_root_pairs,
 )
 from anomform.qseries import QQ, HalfQSeries, TruncationError
-from dense_series import even_part, product_over_roots
+from dense_series import even_part, graded_product, monomials, product_over_roots
 
 # dim 5 at degree 16 has fewer root pairs (2) than its top weight (4)
 PROFILES = [RootProfile(1, 4), RootProfile(5, 16), RootProfile(19, 20), RootProfile(33, 36)]
 
 # -1/3 and 7/2^40 force the common-denominator path to rescale numerators
 SPECIAL = [Fraction(-1, 3), Fraction(7, 2**40), Fraction(1), Fraction(-5, 12)]
-
-
-def monomials(profile):
-    """All trimmed p-monomials of weight <= max_weight with at most n_pairs parts."""
-
-    def exponents(i, room):
-        if i > profile.n_pairs:
-            yield ()
-            return
-        for a in range(room // i + 1):
-            for rest in exponents(i + 1, room - a * i):
-                yield (a,) + rest
-
-    out = set()
-    for mon in exponents(1, profile.max_weight):
-        while mon and not mon[-1]:
-            mon = mon[:-1]
-        out.add(mon)
-    return sorted(out)
 
 
 def random_class(rng, profile, density=0.6):
@@ -53,24 +34,10 @@ def random_class(rng, profile, density=0.6):
     return GradedClass(profile, comp)
 
 
-def weight(mon):
-    return sum((i + 1) * a for i, a in enumerate(mon))
-
-
 def schoolbook(a, b):
     """Every pair of monomials, exponent tuples added, truncated by weight."""
-    profile = a.profile
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            n = max(len(m1), len(m2))
-            m = tuple(
-                (m1[i] if i < len(m1) else 0) + (m2[i] if i < len(m2) else 0)
-                for i in range(n)
-            )
-            if weight(m) <= profile.max_weight:
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-    return GradedClass(profile, out)
+    product = graded_product(dict(a.items()), dict(b.items()), 0, a.profile.max_weight)
+    return GradedClass(a.profile, product)
 
 
 def operand_pairs(profile, seed):

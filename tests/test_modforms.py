@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from anomform.chroot import GradedClass, RootProfile
+from anomform.anomaly import P2, Q2, ROUTE_KTHEORY, identity_profile, p_form
+from anomform.chroot import GradedClass, GradedRing, RootProfile
 from anomform.cli import main
 from anomform.modforms import (
     GAMMA0_LOWER,
@@ -20,6 +21,7 @@ from anomform.modforms import (
     decompose_theta2,
     decomposition_case,
     delta_epsilon,
+    identity_parameters,
     modular_basis,
     theta1_nullwert_fourth,
     theta2_nullwert,
@@ -147,6 +149,40 @@ def test_basis_decompose_rejects_off_span_series():
     with pytest.raises(SpanError) as err:
         basis_decompose(poisoned, 6)
     assert err.value.exp2 == 5
+
+
+def graded_reconstruction(dim, order2):
+    """sum_r x_r (8 delta_2)^(e-2r) eps_2^r over GradedRing, x_r from decompose_theta2."""
+    _, m, degree = identity_parameters(dim)
+    profile = identity_profile(dim)
+    xs = decompose_theta2(m, profile)
+    out = HalfQSeries.zero(GradedRing(profile), order2)
+    for x, b in zip(xs, modular_basis(degree // 2, order2)):
+        out = out + HalfQSeries(out.ring, {e: x * c for e, c in b.items()}, order2)
+    return out
+
+
+@pytest.mark.parametrize("source", ["theta2", "p2"])
+@pytest.mark.parametrize("dim", [9, 14, 25])
+def test_basis_decompose_rejects_off_span_graded_series(dim, source):
+    """A true series over GradedRing decomposes; one poisoned monomial past
+    the matched window (exp2 = m + 2) must raise SpanError there."""
+    case, m, degree = identity_parameters(dim)
+    profile = identity_profile(dim)
+    order2 = m + 3
+    if source == "theta2":
+        series = graded_reconstruction(dim, order2)
+        bundle = build_theta_bundle(THETA2, profile, m + 1).series
+        assert series.truncate(m + 1) == bundle  # it is Theta_2 through the window
+    else:
+        series = p_form(P2 if case == "b" else Q2, profile, ROUTE_KTHEORY, order2=order2)
+    xs = basis_decompose(series, degree // 2)
+    assert len(xs) == m + 1
+    # p_1^(degree/4) at q^((m+2)/2): in the identity degree, past the window
+    poison = HalfQSeries(series.ring, {m + 2: GradedClass.p(profile, 1) ** (degree // 4)}, order2)
+    with pytest.raises(SpanError) as err:
+        basis_decompose(series + poison, degree // 2)
+    assert err.value.exp2 == m + 2
 
 
 def test_modular_basis_monomial_count():

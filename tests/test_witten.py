@@ -48,7 +48,7 @@ def unreduced_lambda(profile, order2):
     """sum_k ch Lambda^k q^(k/2): Lambda_t of the reduced bundle times (1 + t)^dim, t = q^(1/2)."""
     ring = GradedRing(profile)
     unit = HalfQSeries.from_terms(QQ, [(0, 1), (1, 1)], order2) ** profile.fiber_dim
-    return lambda_t_character(profile, 1, 1, order2) * unit.lift_to(ring)
+    return lambda_t_character(profile, 1, 1, order2) * unit.map_coefficients(ring.coerce, ring)
 
 
 def test_exterior_power_ranks_are_binomials():

@@ -37,7 +37,6 @@ Dimension 1 (n_pairs 0 < w 1) is unstable and keeps its own profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -53,7 +52,7 @@ from .genera import (
     normalize_l_variant,
 )
 from .modforms import SpanError, basis_decompose, decompose_theta2, identity_parameters
-from .qseries import QQ, HalfQSeries
+from .qseries import QQ, FrozenRecord, HalfQSeries, Record
 from .witten import (
     THETA1,
     THETA2,
@@ -97,21 +96,24 @@ def _half_angle_scale(fiber_dim: int, profile: RootProfile, l_variant) -> int:
     return 2 ** ((fiber_dim + 1) // 2 - (profile.fiber_dim + 1) // 2)
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(Record):
     """Outcome of one verification: measured scalar, residuals, status."""
 
-    identity: str
-    fiber_dim: int
-    m: int
-    l_variant: str | None
-    route: str | None
-    lambda_measured: Fraction | None
-    paper_ratio: Fraction | None
-    residuals: list
-    status: str
-    lhs: list = field(default_factory=list)
-    rhs: list = field(default_factory=list)
+    def __init__(self, identity: str, fiber_dim: int, m: int, l_variant: str | None,
+                 route: str | None, lambda_measured: Fraction | None,
+                 paper_ratio: Fraction | None, residuals: list, status: str,
+                 lhs: list | None = None, rhs: list | None = None):
+        self.identity = identity
+        self.fiber_dim = fiber_dim
+        self.m = m
+        self.l_variant = l_variant
+        self.route = route
+        self.lambda_measured = lambda_measured
+        self.paper_ratio = paper_ratio
+        self.residuals = residuals
+        self.status = status
+        self.lhs = [] if lhs is None else lhs
+        self.rhs = [] if rhs is None else rhs
 
     def to_obj(self) -> dict:
         return {
@@ -137,14 +139,13 @@ def _exact_report(identity, fiber_dim, m, l_variant, route, residuals, status, l
     )
 
 
-@dataclass(frozen=True)
-class CorollaryVector:
+class CorollaryVector(FrozenRecord):
     """Integer combination over {signature twist, T_C Z twist, trivial twist}."""
 
-    fiber_dim: int
-    coefficients: tuple
-
     basis = ("signature-twist", "TCZ-twist", "trivial-twist")
+
+    def __init__(self, fiber_dim: int, coefficients: tuple):
+        self.__dict__.update(fiber_dim=fiber_dim, coefficients=coefficients)
 
     def to_obj(self) -> dict:
         return {

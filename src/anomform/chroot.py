@@ -66,26 +66,22 @@ power sums with a denominator and on a denominator <= 0 in ``_wrap``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .qseries import HalfQSeries, TruncationError, convolve, integer_numerators, power
+from .qseries import FrozenRecord, HalfQSeries, TruncationError, convolve, integer_numerators, power
 
 
-@dataclass(frozen=True)
-class RootProfile:
-    """Chern-root model of a fiber: dimension plus form-degree truncation."""
+class RootProfile(FrozenRecord):
+    """Chern-root model of a fiber: dimension plus form-degree truncation; keys every memo."""
 
-    fiber_dim: int
-    max_form_degree: int
-
-    def __post_init__(self):
-        if self.fiber_dim < 1:
+    def __init__(self, fiber_dim: int, max_form_degree: int):
+        if fiber_dim < 1:
             raise ValueError("fiber_dim must be positive")
-        if self.max_form_degree < 0 or self.max_form_degree % 2:
+        if max_form_degree < 0 or max_form_degree % 2:
             raise ValueError("max_form_degree must be a non-negative even integer")
+        self.__dict__.update(fiber_dim=fiber_dim, max_form_degree=max_form_degree)
 
     @property
     def n_pairs(self) -> int:

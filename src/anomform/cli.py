@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import anomaly, modforms, thetanum
@@ -32,7 +32,7 @@ from .anomaly import COROLLARY_DIMENSIONS, identity_profile
 from .chroot import GradedClass
 from .genera import normalize_l_variant
 from .modforms import SpanError, decomposition_case, identity_parameters
-from .qseries import TruncationError, series_text
+from .qseries import Record, TruncationError, series_text
 from .witten import THETA1, THETA2, theta_bundle
 
 REPORT_VERSION = 1
@@ -47,16 +47,19 @@ class UsageError(ValueError):
     """Bad parameters: exit code 2."""
 
 
-@dataclass
-class RunConfig:
-    q_order2: int | None = None
-    max_form_degree: int | None = None
-    tolerance: float = 1e-9
-    l_variant: str = "full"
-    out_format: str = "json"
-    out_path: str | None = None
-    allow_degenerate: bool = False
-    given: set = field(default_factory=set)  # keys set by a flag or the config file
+class RunConfig(Record):
+    def __init__(self, q_order2: int | None = None, max_form_degree: int | None = None,
+                 tolerance: float = 1e-9, l_variant: str = "full", out_format: str = "json",
+                 out_path: str | None = None, allow_degenerate: bool = False,
+                 given: set | None = None):
+        self.q_order2 = q_order2
+        self.max_form_degree = max_form_degree
+        self.tolerance = tolerance
+        self.l_variant = l_variant
+        self.out_format = out_format
+        self.out_path = out_path
+        self.allow_degenerate = allow_degenerate
+        self.given = set() if given is None else given  # keys set by a flag or the config file
 
     def to_obj(self) -> dict:
         return {
@@ -110,6 +113,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     config.l_variant = normalize_l_variant(config.l_variant)
     if config.out_format not in ("json", "table"):
         raise UsageError(f"unknown format {config.out_format!r} (use 'json' or 'table')")
+    if not math.isfinite(config.tolerance):
+        raise UsageError("tolerance must be finite")
     if config.tolerance <= 0:
         raise UsageError("tolerance must be positive")
     if config.q_order2 is not None and config.q_order2 < 1:

@@ -24,7 +24,8 @@ rational is formed per pair of terms.  Graded classes already are integer
 numerators over one denominator, so the graded ring's kernel clears
 nothing; ``integer_numerators`` is called there only on rational input (a
 class built from rational coefficients, and the pair logs of a product over
-roots, once per call).
+roots, once per call).  Every module imports this one, so the package's
+record bases (``Record``, ``FrozenRecord``) live here too.
 """
 
 from __future__ import annotations
@@ -39,6 +40,28 @@ class RingMismatchError(ValueError):
 
 class TruncationError(ValueError):
     """A coefficient beyond the truncation order was requested or needed."""
+
+
+class Record:
+    """Plain record: equal to a record of its own class with equal fields."""
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+
+class FrozenRecord(Record):
+    """Immutable record, hashed as the tuple of its fields; __init__ fills __dict__."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
 
 
 def integer_numerators(parts: list) -> tuple:

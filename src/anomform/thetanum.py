@@ -17,8 +17,9 @@ import cmath
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
+
+from .qseries import Record
 
 
 def _check_tau(tau: complex):
@@ -118,15 +119,16 @@ def delta_epsilon_eval(which: str, tau: complex, n_terms: int | None = None) -> 
     return a * b / 16.0
 
 
-@dataclass
-class NumericCheckReport:
+class NumericCheckReport(Record):
     """Residuals of one transformation law over a sample set."""
 
-    law: str
-    samples: list
-    residuals: list
-    tolerance: float
-    n_terms: int | None
+    def __init__(self, law: str, samples: list, residuals: list, tolerance: float,
+                 n_terms: int | None):
+        self.law = law
+        self.samples = samples
+        self.residuals = residuals
+        self.tolerance = tolerance
+        self.n_terms = n_terms
 
     @property
     def max_residual(self) -> float:
@@ -282,9 +284,11 @@ def check_transformation(law: str, samples: list, tol: float = 1e-9,
 
     Laws eq3.1..eq3.4 take (v, tau) samples and produce two residuals each
     (tau -> tau + 1 and tau -> -1/tau); eq3.5delta / eq3.5eps take tau
-    samples; eq3.11 / eq3.32 take (m, roots, tau) samples.  A non-finite tau,
-    one off the upper half plane or one needing more than MAX_PRODUCT_TERMS
-    product terms raises ValueError before any sample is evaluated.
+    samples; eq3.11 / eq3.32 take (m, roots, tau) samples.  An empty sample
+    set or a sample without roots (either would pass with nothing checked), a
+    non-finite tau, one off the upper half plane or one needing more than
+    MAX_PRODUCT_TERMS product terms raises ValueError before any sample is
+    evaluated.
     """
     if law in _LAW_KIND:
         taus = [tau for _, tau in samples]
@@ -294,6 +298,10 @@ def check_transformation(law: str, samples: list, tol: float = 1e-9,
         taus = [tau for _, _, tau in samples]
     else:
         raise ValueError(f"unknown transformation law {law!r}")
+    if not samples:
+        raise ValueError(f"{law} has no samples to check")
+    if law in ("eq3.11", "eq3.32") and not all(roots for _, roots, _ in samples):
+        raise ValueError(f"{law} sample has no roots: an empty root product checks 0 = 0")
     for tau in taus:
         _check_sample_tau(complex(tau))
     residuals: list = []

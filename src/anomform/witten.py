@@ -29,7 +29,6 @@ truncated for smaller requests; `build_theta_bundle` always builds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -40,7 +39,7 @@ from .chroot import (
     product_over_root_pairs,
     sum_over_roots,
 )
-from .qseries import QQ, HalfQSeries
+from .qseries import QQ, FrozenRecord, HalfQSeries
 
 
 def chern_character(profile: RootProfile) -> GradedClass:
@@ -85,27 +84,23 @@ THETA1 = "theta1"
 THETA2 = "theta2"
 
 
-@dataclass(frozen=True)
-class ThetaBundleSeries:
+class ThetaBundleSeries(FrozenRecord):
     """A Witten bundle expansion: q^(1/2)-series of virtual characters.
 
     Coefficients are GradedClass values over GradedRing(profile); each
     constant term is the integer virtual rank of that q-coefficient.
     """
 
-    kind: str
-    profile: RootProfile
-    series: HalfQSeries
-
-    def __post_init__(self):
-        if self.series.coefficient(0) != GradedClass.one(self.profile):
+    def __init__(self, kind: str, profile: RootProfile, series: HalfQSeries):
+        if series.coefficient(0) != GradedClass.one(profile):
             raise ValueError("theta bundle must start with the trivial line at q^0")
-        for exp2, coeff in self.series.items():
-            if self.kind == THETA1 and exp2 % 2:
+        for exp2, coeff in series.items():
+            if kind == THETA1 and exp2 % 2:
                 raise ValueError("Theta_1 is supported on integer q-powers")
             rank = coeff.constant_term()
             if rank.denominator != 1:
                 raise ValueError(f"virtual rank {rank} is not an integer")
+        self.__dict__.update(kind=kind, profile=profile, series=series)
 
     def truncate(self, order2: int) -> "ThetaBundleSeries":
         return ThetaBundleSeries(self.kind, self.profile, self.series.truncate(order2))

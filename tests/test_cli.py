@@ -254,6 +254,25 @@ def test_bad_config_format_exits_2(tmp_path, capsys, value):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("value", ("nan", "inf", "-inf", "NaN", "Infinity"))
+def test_non_finite_tolerance_flag_exits_2(tmp_path, capsys, value):
+    out_path = tmp_path / "report.json"
+    code, out, err = run(capsys, f"--tol={value}", "verify", "numeric", "--law", "eq3.5eps",
+                         "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert "error: tolerance must be finite" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
+def test_non_finite_tolerance_config_key_exits_2(tmp_path, capsys, value):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"tol={value}\n")
+    code, out, err = run(capsys, "verify", "numeric", "--law", "eq3.5eps", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert "error: tolerance must be finite" in err
+
+
 def test_report_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, _, _ = run(capsys, "verify", "agw", "--out", str(out_path))

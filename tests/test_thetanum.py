@@ -229,6 +229,12 @@ def test_delta_epsilon_makes_one_two_kind_product(monkeypatch, which, kinds):
         ("eq3.5eps", [1j, complex(0.3, 1e-6)], r"tau=\(0\.3\+1e-06j\) needs more than 10000"),
         # -1/tau's imaginary part underflows to zero
         ("eq3.5delta", [1j, complex(1e200, 1.0)], r"tau=\(1e\+200\+1j\) needs more than 10000"),
+        # sample sets that would pass with nothing checked
+        ("eq3.1", [], "eq3.1 has no samples to check"),
+        ("eq3.5delta", (), "eq3.5delta has no samples to check"),
+        # a product over zero root pairs is 1: its degree-w part is 0 on both sides
+        ("eq3.11", [(1, [], 1.1j)], "eq3.11 sample has no roots"),
+        ("eq3.32", [(1, [0.1, 0.05], 1j), (2, (), 1.1j)], "eq3.32 sample has no roots"),
     ),
 )
 def test_unusable_tau_rejected_before_any_evaluation(monkeypatch, law, samples, message):

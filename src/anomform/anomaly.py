@@ -23,6 +23,13 @@ and ``mul_degree`` against log addition.  Newton's identities for the
 exterior powers are on neither route: only a test oracle checks the
 factors against them.
 
+eq3.12/eq3.33 decompose the theta-route series at the class order and
+compare its basis coefficients with the b_r/z_r that ``decompose_theta2``
+solves from the Witten Theta_2 through q^(m/2): that ties the two routes
+together, and only ``verify_route_equivalence`` builds the K-theory series
+at the full order.  Past the matched window the coefficients test the code,
+not the theorem (Sturm's bound).
+
 Every exact artifact is computed once per identity class, the (case, m,
 degree) that ``modforms.identity_parameters`` assigns a fiber dimension:
 8m+1..8m+3 (b case) or 8m-3..8m-1 (z case) at degree 8m+4 or 8m.  At
@@ -256,10 +263,11 @@ def p_form(
 def verify_decomposition_identity(fiber_dim: int, order2: int | None = None) -> IdentityReport:
     """Check P_2 (or Q_2) = sum_r {A-roof ch(b_r or z_r)} basis_r in full.
 
-    The coefficients come from the matched-window solve; agreement must then
-    extend through the whole computed truncation (series-level modularity),
-    and the solved coefficients must equal the A-roof images of the bundle
-    decomposition.
+    P_2 comes from the theta-quotient route at order2.  The coefficients come
+    from the matched-window solve; agreement must then extend through the
+    whole computed truncation (series-level modularity), and the solved
+    coefficients must equal the A-roof images of the bundle decomposition,
+    which reads the Witten Theta_2 only through q^(m/2).
     """
     case, m, degree = identity_parameters(fiber_dim)
     profile = _class_profile(fiber_dim)
@@ -268,7 +276,7 @@ def verify_decomposition_identity(fiber_dim: int, order2: int | None = None) -> 
     kind = P2 if case == "b" else Q2
     identity = "eq3.12" if case == "b" else "eq3.33"
     weight = degree // 2
-    series = p_form(kind, profile, ROUTE_KTHEORY, L_FULL, order2)
+    series = p_form(kind, profile, ROUTE_THETA, L_FULL, order2)
     residuals = []
     status = "pass"
     hs = []
@@ -300,7 +308,7 @@ def verify_decomposition_identity(fiber_dim: int, order2: int | None = None) -> 
     if status == "pass" and all(not h for h in hs):
         status = "degenerate-zero"
     return _exact_report(
-        identity, fiber_dim, m, None, ROUTE_KTHEORY, residuals, status,
+        identity, fiber_dim, m, None, ROUTE_THETA, residuals, status,
         [h.to_obj() for h in hs],
     )
 

@@ -295,8 +295,21 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> tuple:
             decomposition_case(args.m, args.dim)
         except ValueError as err:
             raise UsageError(str(err))
-    # tasks run in the order added; each identity class asks for one order
-    # (--q-order, else the class order), so each bundle is built once
+    # tasks run in the order added: the route checks first, as they read the
+    # bundles at the class order (or --q-order); the later checks read Theta_2
+    # only through q^(m/2) and truncate it, so each bundle is built once
+    if suite in ("routes", "all"):
+        kind = args.kind
+        for dim in dims or (2, 3, 9, 10, 11, 5, 6, 7):
+            case, m, _ = identity_parameters(dim)
+            if kind and not dims and (case == "b") != (kind in (anomaly.P1, anomaly.P2)):
+                continue  # --kind alone runs on the default dims of its own case
+            tasks.append((
+                ("routes", dim, m, ""),
+                lambda d=dim: anomaly.verify_route_equivalence(
+                    d, kind=kind, order2=config.q_order2, l_variant=config.l_variant
+                ),
+            ))
     if suite in ("decomposition", "all"):
         for dim in dims or SWEEP_DIMENSIONS:
             _, m, _ = identity_parameters(dim)
@@ -335,18 +348,6 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> tuple:
             tasks.append((
                 ("corollary", dim, 0, ""),
                 lambda d=dim: anomaly.corollary_coefficients(d),
-            ))
-    if suite in ("routes", "all"):
-        kind = args.kind
-        for dim in dims or (2, 3, 9, 10, 11, 5, 6, 7):
-            case, m, _ = identity_parameters(dim)
-            if kind and not dims and (case == "b") != (kind in (anomaly.P1, anomaly.P2)):
-                continue  # --kind alone runs on the default dims of its own case
-            tasks.append((
-                ("routes", dim, m, ""),
-                lambda d=dim: anomaly.verify_route_equivalence(
-                    d, kind=kind, order2=config.q_order2, l_variant=config.l_variant
-                ),
             ))
     if suite in ("numeric", "all"):
         tasks.append((("z-numeric", 0, 0, ""), lambda: _numeric_reports(args, config)))
@@ -549,9 +550,24 @@ _COMMANDS = {
 }
 
 
+def _attach_dash_values(argv: list) -> list:
+    """Write `--tol -inf` as `--tol=-inf`, and likewise for `--tau`.
+
+    argparse reads a separate value that starts with '-' and is not a plain
+    negative number (-inf, -0.2+1.1i) as an unknown option, not as the value.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--tol", "--tau") and arg[:1] == "-" and arg[:2] != "--":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         config = build_config(args)
         results, code = _COMMANDS[args.command](args, config)

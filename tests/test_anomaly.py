@@ -26,6 +26,7 @@ from anomform.anomaly import (
 )
 from anomform.chroot import GradedClass, RootProfile
 from anomform.genera import a_hat, l_class
+from anomform.qseries import HalfQSeries
 from anomform.witten import chern_character
 
 B_DIMS = (1, 2, 3, 9, 10, 11, 17, 18, 19)
@@ -114,6 +115,45 @@ def test_dropped_last_term_fails_both_identities(dim, monkeypatch):
         {"r": m, "error": f"{case}_{m} is missing from the decomposition"}
     ]
     assert verify_main_identity(dim).status == "fail"
+
+
+@pytest.mark.parametrize("dim", (10, 13, 25))
+def test_poisoned_theta_route_past_the_window_fails(dim, clear_memos, monkeypatch):
+    # negative control: the theta-route P_2 altered one step past the matched
+    # window, where only the series-level comparison can see it
+    _, m, _ = identity_parameters(dim)
+    original = anomaly.p_form
+
+    def poisoned(kind, profile, route=ROUTE_KTHEORY, l_variant="full", order2=None):
+        series = original(kind, profile, route, l_variant, order2)
+        if route != ROUTE_THETA:
+            return series
+        bump = HalfQSeries(series.ring, {m + 2: series.coefficient(0)}, series.order2)
+        return series + bump
+
+    monkeypatch.setattr(anomaly, "p_form", poisoned)
+    report = verify_decomposition_identity(dim)
+    assert report.status == "fail"
+    assert [r["exp2"] for r in report.residuals] == [m + 2]
+
+
+@pytest.mark.parametrize("dim", (10, 13, 25))
+def test_shifted_last_rank_fails_the_basis_check(dim, clear_memos, monkeypatch):
+    # negative control: the Theta_2 window's last b_r/z_r with its rank off
+    # by one, so eq3.12/eq3.33 must still read the K-theory decomposition
+    _, m, _ = identity_parameters(dim)
+    original = anomaly.decompose_theta2
+
+    def shifted(*args):
+        xs = original(*args)
+        return xs[:-1] + (xs[-1] + 1,)
+
+    monkeypatch.setattr(anomaly, "decompose_theta2", shifted)
+    report = verify_decomposition_identity(dim)
+    assert report.status == "fail"
+    assert [(r["r"], r["error"]) for r in report.residuals] == [
+        (m, "basis coefficient differs from A-roof ch(b_r)")
+    ]
 
 
 # -- main identity ------------------------------------------------------------------
@@ -297,6 +337,14 @@ def test_route_equivalence_q2(dim):
 @pytest.mark.parametrize("dim", (17, 18, 19, 13, 14, 15))
 def test_route_equivalence_largest_cases(dim):
     report = verify_route_equivalence(dim, order2=7)
+    assert report.status == "pass" and report.residuals == []
+
+
+@pytest.mark.parametrize("dim", (17, 18, 19, 13, 14, 15))
+def test_route_equivalence_largest_cases_at_the_class_order(dim):
+    # verify all reads the K-theory P_2/Q_2 at m = 2 only through q^1, so
+    # this is where the full-order K-theory series past the window is checked
+    report = verify_route_equivalence(dim)
     assert report.status == "pass" and report.residuals == []
 
 

@@ -264,6 +264,24 @@ def test_non_finite_tolerance_flag_exits_2(tmp_path, capsys, value):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("before_command", (True, False))
+def test_separate_negative_infinity_tolerance_reaches_the_check(tmp_path, capsys, before_command):
+    # "--tol -inf" is one option with its value, before or after the subcommand
+    out_path = tmp_path / "report.json"
+    command = ["verify", "numeric", "--law", "eq3.5eps", "--out", str(out_path)]
+    argv = ["--tol", "-inf", *command] if before_command else [*command, "--tol", "-inf"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: tolerance must be finite\n"
+    assert not out_path.exists()
+
+
+def test_separate_negative_tau_is_read_as_the_value(capsys):
+    code, out, _ = run(capsys, "verify", "numeric", "--law", "eq3.5delta", "--tau", "-0.3+1.2i")
+    assert code == 0
+    assert len(results_of(out)[0]["samples"]) == 1
+
+
 @pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
 def test_non_finite_tolerance_config_key_exits_2(tmp_path, capsys, value):
     config = tmp_path / "run.cfg"

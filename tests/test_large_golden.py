@@ -27,9 +27,9 @@ BUNDLE_DIGESTS = {
 }
 
 REPORT_DIGESTS = {
-    ("decomposition", 41): "6c9542a9279f741b6dcba38d2110d7dc872843bf088555df98b1d8785e99b070",
+    ("decomposition", 41): "0e49a60e8a3eb4d1d38872f0d7b25144a7ab44f7464a350817d2bdb58003f9fc",
     ("main", 41): "affdfa5a7e63b7e739534c6817b8bb3627343fbbcb06a71a188cc47d344a359c",
-    ("decomposition", 49): "0ed41f23c0874d81fc3ae77fecc5aa2ccf89a4625e9a54f2e4a286f8f51d5264",
+    ("decomposition", 49): "8c6257dc6474818a83a0ecfb2c6646923f7700a9ced2f2557fa2406bb700e586",
     ("main", 49): "93072e1b5f61d779935b4631d24383aec109ad814c0252c6c82b301ea6cb7134",
 }
 

@@ -53,8 +53,9 @@ def test_verify_all_solves_each_decomposition_once(clear_memos, tmp_path):
 def test_verify_all_computes_each_series_once(clear_memos, tmp_path):
     argv = ["verify", "all", "--allow-degenerate", "--out", str(tmp_path / "report.json")]
     assert cli.main(argv) == 0
-    # one K-theory P2/Q2 series per class (6, shared by the decomposition and
-    # route checks at the class order) plus the theta route of b m=0, b m=1, z m=1
+    # one theta-route P2/Q2 series per class (6, shared by the decomposition
+    # and route checks at the class order) plus the K-theory route of the
+    # classes the route checks cover: b m=0, b m=1, z m=1
     assert anomaly.p_form.cache_info().misses == 9
 
 
@@ -62,7 +63,7 @@ def test_routes_and_decomposition_share_the_class_order(clear_memos, tmp_path):
     assert cli.main(["verify", "routes", "--dim", "10", "--out", str(tmp_path / "r.json")]) == 0
     misses = anomaly.p_form.cache_info().misses
     assert anomaly.verify_decomposition_identity(10).status == "pass"
-    # both read the K-theory P2 series at the class order 2m+5 = 7
+    # both read the theta-route P2 series at the class order 2m+5 = 7
     assert anomaly.p_form.cache_info().misses == misses
 
 

@@ -16,9 +16,9 @@ sum, so ``verify_route_equivalence`` compares what differs between them:
 the K-theory route multiplies 2m+4 factor characters, each the exponential
 of its own Adams-operation pair log (``witten``), and applies the genus
 with ``GradedClass.mul_degree``; the theta route adds the genus log to the
-Eisenstein divisor sums of ``_divisor_sum`` and exponentiates that one
-summed log.  The check thus pits a product of exponentials against the
-exponential of a sum, the per-factor Adams sums against the divisor sums,
+Eisenstein divisor sums of ``modforms.eisenstein_series`` and exponentiates
+that one summed log.  The check thus pits a product of exponentials against
+the exponential of a sum, the per-factor Adams sums against the divisor sums,
 and ``mul_degree`` against log addition.  Newton's identities for the
 exterior powers are on neither route: only a test oracle checks the
 factors against them.
@@ -58,7 +58,13 @@ from .genera import (
     l_class,
     normalize_l_variant,
 )
-from .modforms import SpanError, basis_decompose, decompose_theta2, identity_parameters
+from .modforms import (
+    SpanError,
+    basis_decompose,
+    decompose_theta2,
+    eisenstein_series,
+    identity_parameters,
+)
 from .qseries import QQ, FrozenRecord, HalfQSeries, Record
 from .witten import (
     THETA1,
@@ -178,16 +184,6 @@ def _kind_parameters(kind: str, profile: RootProfile):
 # -- exact theta-quotient route ---------------------------------------------
 
 
-def _divisor_sum(theta1_side: bool, n: int, p: int) -> int:
-    """a_j(n) at p = 2j - 1: sum_(k|n) (-1)^(n/k) k^p on the Theta_2 side;
-    2 sum_(k|n/2, k odd) k^p for even n and 0 for odd n on the Theta_1 side."""
-    if not theta1_side:
-        return sum((-1) ** (n // k) * k**p for k in range(1, n + 1) if n % k == 0)
-    if n % 2:
-        return 0
-    return 2 * sum(k**p for k in range(1, n // 2 + 1, 2) if n // 2 % k == 0)
-
-
 def theta_quotient_pair_series(
     kind: str, l_variant: str, order2: int, max_weight: int
 ) -> tuple:
@@ -201,7 +197,7 @@ def theta_quotient_pair_series(
     sum_k (-1)^(k-1) (st)^k / k * 2 (cosh(ckx) - 1), so
     L_j = l_j + 2 c^(2j) / (2j)! * sum_(0<N<order2) a_j(N) q^(N/2), with l_j
     the prefactor's closed-form pair log (``genera.genus_pair_log``), f0 its
-    constant term and the Eisenstein divisor sums of ``_divisor_sum`` (Zagier,
+    constant term and the Eisenstein divisor sums a_j(N) below (Zagier,
     "Note on the Landweber-Stong elliptic genus", 1988).  Equivalently L_j is
     2 c^(2j) / (2j)! times an Eisenstein series whose constant term is
     -B_2j / (4j) on the Theta_2 side and (2^2j - 2) B_2j / (4j) on the Theta_1
@@ -213,12 +209,14 @@ def theta_quotient_pair_series(
     genus = normalize_l_variant(l_variant) if theta1_side else AHAT
     c = 2 if genus == L_FULL else 1
     f0, ell = genus_pair_log(genus, max_weight)
-    logs = []
-    for j in range(1, max_weight + 1):
-        scale = Fraction(2 * c ** (2 * j), factorial(2 * j))
-        terms = {n: scale * _divisor_sum(theta1_side, n, 2 * j - 1) for n in range(1, order2)}
-        logs.append(HalfQSeries(QQ, {0: ell[j - 1], **terms}, order2))
-    return HalfQSeries(QQ, {0: f0}, order2), tuple(logs)
+    # a_j(N) at p = 2j - 1: sum_(k|N) (-1)^(N/k) k^p on the Theta_2 side;
+    # 2 sum_(k|N/2, k odd) k^p at even N and 0 at odd N on the Theta_1 side
+    weight, step = (lambda k, co: 2 * (k % 2), 2) if theta1_side else (lambda k, co: (-1) ** co, 1)
+    return HalfQSeries(QQ, {0: f0}, order2), tuple(
+        eisenstein_series(ell[j - 1], Fraction(2 * c ** (2 * j), factorial(2 * j)),
+                          2 * j - 1, weight, step, order2)
+        for j in range(1, max_weight + 1)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,8 @@ from log(sinh x / x) = sum_k 2^2k B_2k x^2k / (2k (2k)!) and
 log cosh x = sum_k 2^2k (2^2k - 1) B_2k x^2k / (2k (2k)!).  They are the
 q^0 terms of the Eisenstein pair logs of the level-2 theta quotients
 (``anomaly.theta_quotient_pair_series``), so no power series is inverted
-or multiplied to build either class.
+or multiplied to build either class.  Each Bernoulli number is computed
+once per process.
 
 The L-class ships in two angle conventions, full (x/tanh x, zero roots
 contribute 1) and half (x/tanh(x/2), zero roots contribute 2); which one
@@ -56,20 +57,20 @@ def normalize_l_variant(variant: str) -> str:
         raise ValueError(f"unknown L-class variant {variant!r} (use 'full' or 'half')")
 
 
-def _bernoulli(n_max: int) -> list:
-    """B_0..B_n_max (B_1 = -1/2), from sum_(j<=n) C(n+1, j) B_j = 0 for n >= 1."""
-    b = [Fraction(1)]
-    for n in range(1, n_max + 1):
-        b.append(-sum(comb(n + 1, j) * b[j] for j in range(n)) / (n + 1))
-    return b
+@lru_cache(maxsize=None)
+def _bernoulli(n: int) -> Fraction:
+    """B_n (B_1 = -1/2), from sum_(j<=n) C(n+1, j) B_j = 0; B_0..B_(n-1) in order, so 2 deep."""
+    if n == 0:
+        return Fraction(1)
+    return -sum(comb(n + 1, j) * _bernoulli(j) for j in range(n)) / (n + 1)
 
 
 def genus_pair_log(genus: str, max_weight: int) -> tuple:
     """(f0, (l_1, ..., l_w)) of the per-root factor of AHAT, L_FULL or L_HALF."""
     f0, factor = _PAIR_LOGS[genus]
-    b = _bernoulli(2 * max_weight)
     return Fraction(f0), tuple(
-        factor(k) * b[2 * k] / (2 * k * factorial(2 * k)) for k in range(1, max_weight + 1)
+        factor(k) * _bernoulli(2 * k) / (2 * k * factorial(2 * k))
+        for k in range(1, max_weight + 1)
     )
 
 

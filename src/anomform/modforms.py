@@ -1,10 +1,20 @@
 """Level-2 modular form expansions and the triangular bundle decompositions.
 
-The nullwerte are expanded exactly from their infinite products; the bare
-first theta series carries a q^(1/8) prefactor and is therefore only exposed
-through its 4th power, which lives on integral q^(1/2) powers.  The four
-weight-2/weight-4 forms delta/epsilon are assembled from 4th powers of
-nullwerte; ``_DELTA_EPS_SPECS`` holds their weights and congruence subgroups.
+Every form here is a closed-form sum, built without a q-series product.
+delta/epsilon are Eisenstein series (Zagier 1988; Liu, CMP 174, 1995),
+with sigma_1^odd(n) the sum of the odd divisors of n:
+
+    delta_1 = 1/4 + 6 sum sigma_1^odd(n) q^n
+    eps_1   = 1/16 + sum_n sum_(d|n) (-1)^d d^3 q^n
+    delta_2 = -1/8 - 3 sum sigma_1^odd(n) q^(n/2)
+    eps_2   = sum_n sum_(d|n, n/d odd) d^3 q^(n/2)
+
+By the Jacobi triple product the products prod (1 - q^j)(1 -+ q^(j-1/2))^2
+are theta_2(0) = sum (-1)^n q^(n^2/2) and theta_3(0) = sum q^(n^2/2), over
+all integers n.  The bare theta_1(0) carries a q^(1/8) prefactor and is
+only exposed as theta_1^4 = 16 sum_(n odd) sigma_1(n) q^(n/2).
+``eisenstein_series`` is the one divisor-sum loop; the theta-quotient pair
+logs of ``anomaly`` use it too.
 
 The decomposition machinery matches q^(r/2)-coefficients of a series against
 the monomial basis (8 delta_2)^(e-2r) epsilon_2^r; the system is triangular
@@ -34,43 +44,23 @@ class SpanError(ValueError):
         self.exp2 = exp2
 
 
-def _one_minus(exp2: int, sign: int, order2: int) -> HalfQSeries:
-    return HalfQSeries.from_terms(QQ, [(0, 1), (exp2, sign)], order2)
-
-
-def _nullwert_product(half_sign: int, order2: int) -> HalfQSeries:
-    """prod (1 - q^j)(1 + half_sign q^(j-1/2))^2."""
-    out = HalfQSeries.one(QQ, order2)
-    for exp2 in range(2, order2, 2):
-        out = out * _one_minus(exp2, -1, order2)
-    for exp2 in range(1, order2, 2):
-        out = out * _one_minus(exp2, half_sign, order2) ** 2
-    return out
-
-
-def theta2_nullwert(order2: int) -> HalfQSeries:
-    """theta_2(0, tau) = prod (1 - q^j)(1 - q^(j-1/2))^2."""
-    return _nullwert_product(-1, order2)
-
-
-def theta3_nullwert(order2: int) -> HalfQSeries:
-    """theta_3(0, tau) = prod (1 - q^j)(1 + q^(j-1/2))^2."""
-    return _nullwert_product(1, order2)
+def eisenstein_series(constant, scale, p: int, weight, step: int, order2: int) -> HalfQSeries:
+    """constant + scale sum_(n>=1) sum_(k|n) weight(k, n/k) k^p q^(step n/2), below order2."""
+    scale = Fraction(scale)
+    terms = {
+        step * n: scale * sum(weight(k, n // k) * k**p for k in range(1, n + 1) if n % k == 0)
+        for n in range(1, (order2 - 1) // step + 1)
+    }
+    return HalfQSeries(QQ, {0: Fraction(constant), **terms}, order2)
 
 
 def theta1_nullwert_fourth(order2: int) -> HalfQSeries:
-    """theta_1(0, tau)^4 = 16 q^(1/2) prod (1 - q^j)^4 (1 + q^j)^8."""
-    if order2 < 2:
-        return HalfQSeries.zero(QQ, order2)
-    body = HalfQSeries.one(QQ, order2 - 1) * 16
-    for exp2 in range(2, order2 - 1, 2):
-        body = body * _one_minus(exp2, -1, order2 - 1) ** 4
-        body = body * _one_minus(exp2, 1, order2 - 1) ** 8
-    return body.shifted(1)
+    """16 q^(1/2) prod (1 - q^j)^4 (1 + q^j)^8 = 16 sum_(n odd) sigma_1(n) q^(n/2)."""
+    return eisenstein_series(0, 16, 1, lambda k, co: k * co % 2, 1, order2)
 
 
 def theta_nullwert(i: int, order2: int) -> HalfQSeries:
-    """Exact nullwert expansion for theta (i=0), theta_2, theta_3.
+    """Exact nullwert expansion for theta (i=0), theta_2, theta_3 (Jacobi sums).
 
     theta_1(0, tau) alone is not an exact q^(1/2)-series (prefactor
     q^(1/8)); request theta1_nullwert_fourth or evaluate numerically.
@@ -82,11 +72,11 @@ def theta_nullwert(i: int, order2: int) -> HalfQSeries:
             "theta_1(0,tau) carries q^(1/8); only its 4th power is an exact "
             "q^(1/2)-series (theta1_nullwert_fourth)"
         )
-    if i == 2:
-        return theta2_nullwert(order2)
-    if i == 3:
-        return theta3_nullwert(order2)
-    raise ValueError(f"unknown theta index {i}")
+    if i not in (2, 3):
+        raise ValueError(f"unknown theta index {i}")
+    sign = -1 if i == 2 else 1
+    terms = {n * n: Fraction(2 * sign**n) for n in range(1, order2) if n * n < order2}
+    return HalfQSeries(QQ, {0: Fraction(1), **terms}, order2)
 
 
 _DELTA_EPS_SPECS = {
@@ -101,21 +91,21 @@ _DELTA_EPS_ALIASES = {
     "epsilon2": "eps2",
 }
 
+# form -> its eisenstein_series (constant, scale, p, weight(k, n/k), step), as in the module doc
+_EISENSTEIN = {
+    "delta1": (Fraction(1, 4), 6, 1, lambda k, co: k % 2, 2),
+    "eps1": (Fraction(1, 16), 1, 3, lambda k, co: (-1) ** k, 2),
+    "delta2": (Fraction(-1, 8), -3, 1, lambda k, co: k % 2, 1),
+    "eps2": (0, 1, 3, lambda k, co: co % 2, 1),
+}
+
 
 def delta_epsilon(which: str, order2: int) -> HalfQSeries:
-    """delta_1, epsilon_1, delta_2 or epsilon_2 from nullwert 4th powers."""
+    """delta_1, epsilon_1, delta_2 or epsilon_2 as Eisenstein series."""
     which = _DELTA_EPS_ALIASES.get(which, which)
     if which not in _DELTA_EPS_SPECS:
         raise ValueError(f"unknown form {which!r}")
-    if which in ("delta1", "eps1"):
-        t2 = theta2_nullwert(order2) ** 4
-        t3 = theta3_nullwert(order2) ** 4
-        series = (t2 + t3) / 8 if which == "delta1" else (t2 * t3) / 16
-    else:
-        t1 = theta1_nullwert_fourth(order2)
-        t3 = theta3_nullwert(order2) ** 4
-        series = -(t1 + t3) / 8 if which == "delta2" else (t1 * t3) / 16
-    return series.truncate(order2)
+    return eisenstein_series(*_EISENSTEIN[which], order2)
 
 
 def modular_basis(weight: int, order2: int) -> list:
@@ -132,10 +122,17 @@ def modular_basis(weight: int, order2: int) -> list:
 def _modular_basis(weight: int, order2: int) -> tuple:
     if weight % 2 or weight < 2:
         raise ValueError("weight must be a positive even integer")
-    e = weight // 2
+    e, top = weight // 2, weight // 4
     d8 = delta_epsilon("delta2", order2) * 8
     eps = delta_epsilon("eps2", order2)
-    return tuple(d8 ** (e - 2 * r) * (eps**r) for r in range(weight // 4 + 1))
+    # each power is one product of the one before; a monomial, one product of two
+    d8_sq = d8 * d8
+    d8_pows = [d8 if e % 2 else HalfQSeries.one(QQ, order2)]
+    eps_pows = [HalfQSeries.one(QQ, order2)]
+    for _ in range(top):
+        d8_pows.append(d8_pows[-1] * d8_sq)
+        eps_pows.append(eps_pows[-1] * eps)
+    return tuple(d8_pows[top - r] * eps_pows[r] for r in range(top + 1))
 
 
 def combination_matrix(weight: int) -> list:
@@ -144,7 +141,13 @@ def combination_matrix(weight: int) -> list:
     Row s expresses the s-th solved coefficient as an integer combination of
     the input's q^(0/2)..q^(s/2) coefficients.  Raises ArithmeticError unless
     the matrix has a unit diagonal, is lower triangular and inverts integrally.
+    Each weight is solved once; callers get fresh lists.
     """
+    return [list(row) for row in _combination_matrix(weight)]
+
+
+@lru_cache(maxsize=None)
+def _combination_matrix(weight: int) -> tuple:
     m = weight // 4
     basis = modular_basis(weight, m + 1)
     matrix = [[basis[r].coefficient(s) for r in range(m + 1)] for s in range(m + 1)]
@@ -166,30 +169,31 @@ def combination_matrix(weight: int) -> list:
         for entry in row:
             if entry.denominator != 1:
                 raise ArithmeticError("combination matrix must be integral")
-    return [[int(entry) for entry in row] for row in inv]
+    return tuple(tuple(int(entry) for entry in row) for row in inv)
 
 
 def _solve(f: HalfQSeries, weight: int):
-    """(xs, recon): basis coefficients of f and their sum, at f.order2.
+    """(xs, exp2): basis coefficients of f, and the first exponent below f.order2
+    where their sum differs from f (None if there is none).
 
     The xs are the combination matrix applied to q^0..q^(m/2) of f.  Each
-    exponent of the reconstruction is sum_r (rational basis coefficient) *
-    x_r, a scalar multiple of each x_r: no ring product is formed.
+    exponent of the sum is sum_r (rational basis coefficient) * x_r, a scalar
+    multiple of each x_r: no ring product is formed.
     """
     m = weight // 4
     if f.order2 < m + 1:
         raise TruncationError(
             f"need at least {m + 1} matched coefficients, have order2={f.order2}"
         )
-    rows = combination_matrix(weight)
+    rows = _combination_matrix(weight)
     window = [f.coefficient(j) for j in range(m + 1)]
     xs = [sum((c * k for c, k in zip(window, row) if k), f.ring.zero) for row in rows]
     basis = modular_basis(weight, f.order2)
-    recon = {}
     for e in range(f.order2):
-        terms = [x * c for x, c in zip(xs, (b.coefficient(e) for b in basis)) if c]
-        recon[e] = sum(terms, f.ring.zero)
-    return xs, HalfQSeries(f.ring, recon, f.order2)
+        terms = (x * c for x, c in zip(xs, (b.coefficient(e) for b in basis)) if c)
+        if sum(terms, f.ring.zero) != f.coefficient(e):
+            return xs, e
+    return xs, None
 
 
 def basis_decompose(f: HalfQSeries, weight: int) -> list:
@@ -199,13 +203,9 @@ def basis_decompose(f: HalfQSeries, weight: int) -> list:
     then agree with f through f's entire truncation (the series-level
     modularity statement).  Raises SpanError at the first failing exponent.
     """
-    xs, recon = _solve(f, weight)
-    for exp2 in range(f.order2):
-        if f.coefficient(exp2) != recon.coefficient(exp2):
-            raise SpanError(
-                f"input is not in the modular span: first mismatch at exp2={exp2}",
-                exp2,
-            )
+    xs, exp2 = _solve(f, weight)
+    if exp2 is not None:
+        raise SpanError(f"input is not in the modular span: first mismatch at exp2={exp2}", exp2)
     return xs
 
 
@@ -252,8 +252,7 @@ def decompose_theta2(m: int, profile: RootProfile) -> tuple:
     """
     decomposition_case(m, profile.fiber_dim)  # raises unless the class has this m
     f = theta_bundle(THETA2, profile, m + 1).series
-    xs, recon = _solve(f, identity_parameters(profile.fiber_dim)[2] // 2)
-    for s in range(m + 1):
-        if f.coefficient(s) != recon.coefficient(s):
-            raise ArithmeticError("matched window residual")
+    xs, exp2 = _solve(f, identity_parameters(profile.fiber_dim)[2] // 2)
+    if exp2 is not None:
+        raise ArithmeticError("matched window residual")
     return tuple(xs)

@@ -10,7 +10,9 @@ _MEMOS = (
     chroot.power_sum_products,
     witten.theta_bundle,
     modforms._modular_basis,
+    modforms._combination_matrix,
     modforms.decompose_theta2,
+    genera._bernoulli,
     genera.a_hat,
     genera.l_class,
     anomaly.p_form,

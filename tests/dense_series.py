@@ -11,6 +11,10 @@ Newton's identities (``elementary_from_power_sums``).  The library keeps a
 graded class as integer numerators over one denominator; the Fraction-dict
 products here (``graded_product``, ``graded_series_product``) hold one
 ``Fraction`` per p-monomial and multiply every pair of monomials.
+Likewise the library writes the level-2 forms as Eisenstein series and the
+nullwerte as Jacobi sums; the oracles here expand the nullwerte from their
+infinite products and build delta/epsilon from their 4th powers
+(``nullwert_product``, ``theta1_fourth_product``, ``delta_epsilon_product``).
 """
 
 from fractions import Fraction
@@ -146,3 +150,41 @@ def monomials(profile):
             mon = mon[:-1]
         out.add(mon)
     return sorted(out)
+
+
+def _one_plus(exp2, sign, order2):
+    """1 + sign q^(exp2/2)."""
+    return HalfQSeries.from_terms(QQ, [(0, 1), (exp2, sign)], order2)
+
+
+def nullwert_product(half_sign, order2):
+    """prod (1 - q^j)(1 + half_sign q^(j-1/2))^2: theta_3 (+1) and theta_2 (-1) at 0."""
+    out = HalfQSeries.one(QQ, order2)
+    for exp2 in range(2, order2, 2):
+        out = out * _one_plus(exp2, -1, order2)
+    for exp2 in range(1, order2, 2):
+        out = out * _one_plus(exp2, half_sign, order2) ** 2
+    return out
+
+
+def theta1_fourth_product(order2):
+    """theta_1(0, tau)^4 = 16 q^(1/2) prod (1 - q^j)^4 (1 + q^j)^8."""
+    if order2 < 2:
+        return HalfQSeries.zero(QQ, order2)
+    body = HalfQSeries.one(QQ, order2 - 1) * 16
+    for exp2 in range(2, order2 - 1, 2):
+        body = body * _one_plus(exp2, -1, order2 - 1) ** 4
+        body = body * _one_plus(exp2, 1, order2 - 1) ** 8
+    return body.shifted(1)
+
+
+def delta_epsilon_product(which, order2):
+    """delta_1, eps_1, delta_2 or eps_2 from 4th powers of the product nullwerte."""
+    t3 = nullwert_product(1, order2) ** 4
+    if which in ("delta1", "eps1"):
+        t2 = nullwert_product(-1, order2) ** 4
+        series = (t2 + t3) / 8 if which == "delta1" else (t2 * t3) / 16
+    else:
+        t1 = theta1_fourth_product(order2)
+        series = -(t1 + t3) / 8 if which == "delta2" else (t1 * t3) / 16
+    return series.truncate(order2)

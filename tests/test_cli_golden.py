@@ -1,8 +1,10 @@
-"""Stored stdout of `expand delta-eps` and `decompose`, compared byte for byte.
+"""Stored stdout of `expand` and `decompose`, compared byte for byte.
 
 `tests/data/cli_outputs.json` maps each command line below to the exact
-stdout it printed when the file was written.  The delta/epsilon envelopes
-carry each form's weight and congruence subgroup; the decompositions carry
+stdout it printed when the file was written.  The nullwert expansions and
+their 4th powers, and the delta/epsilon envelopes, which carry each form's
+weight and congruence subgroup, are pinned at the default order and (for
+delta/epsilon) through q^20, order2 41; the decompositions carry
 the b_r (dim 10) and z_r (dim 13) virtual characters.  Rewrite the file with
 `PYTHONPATH=src python tests/test_cli_golden.py` only for a deliberate change
 of an output, and say why in the change log.
@@ -20,6 +22,13 @@ DATA = Path(__file__).parent / "data" / "cli_outputs.json"
 COMMANDS = tuple(
     ("expand", "delta-eps", "--which", which)
     for which in ("delta1", "eps1", "delta2", "eps2", "epsilon1", "epsilon2")
+) + tuple(
+    ("expand", "delta-eps", "--which", which, "--q-order", "41")
+    for which in ("delta1", "eps1", "delta2", "eps2")
+) + tuple(
+    ("expand", "theta-nullwert", "--i", i) for i in ("0", "2", "3")
+) + tuple(
+    ("expand", "theta-nullwert", "--i", i, "--fourth-power") for i in ("1", "2", "3")
 ) + (
     ("decompose", "--m", "1", "--dim", "10"),
     ("decompose", "--m", "2", "--dim", "13"),

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from anomform.cli import main
-from anomform.modforms import theta2_nullwert
+from anomform.modforms import theta_nullwert
 from anomform.qseries import QQ, HalfQSeries
 
 
@@ -62,7 +62,7 @@ def test_numeric_s_law_m1_passes(capsys):
 
 
 def test_series_repr():
-    assert repr(theta2_nullwert(4)) == "1 + (-2)*q^(1/2) + O(q^2)"
+    assert repr(theta_nullwert(2, 4)) == "1 + (-2)*q^(1/2) + O(q^2)"
     assert repr(HalfQSeries.zero(QQ, 2)) == "0 + O(q)"
 
 

@@ -4,8 +4,9 @@ from collections import Counter
 
 import pytest
 
-from anomform import anomaly, cli, modforms, witten
+from anomform import anomaly, cli, genera, modforms, witten
 from anomform.anomaly import identity_profile, verify_route_equivalence
+from anomform.genera import AHAT, L_FULL, L_HALF, genus_pair_log
 from anomform.witten import THETA1, THETA2, build_theta_bundle, theta_bundle
 
 
@@ -48,6 +49,38 @@ def test_verify_all_solves_each_decomposition_once(clear_memos, tmp_path):
     # decomposition, main and corollary checks share one solve per identity
     # class: dim 1, b at m = 0, 1, 2 and z at m = 1, 2
     assert modforms.decompose_theta2.cache_info().misses == 6
+
+
+def test_verify_all_builds_each_matrix_and_bernoulli_number_once(clear_memos, tmp_path):
+    argv = ["verify", "all", "--allow-degenerate", "--out", str(tmp_path / "report.json")]
+    counts = []
+    for _ in range(2):  # the second run finds every constant in the memos
+        assert cli.main(argv) == 0
+        counts.append((modforms._combination_matrix.cache_info(), genera._bernoulli.cache_info()))
+    (matrices, bernoulli), (matrices_again, bernoulli_again) = counts
+    # one combination matrix per decomposition weight, b: 4m+2 = 2, 6, 10 and
+    # z: 4m = 4, 8, read by the 15 decomposition checks and the 6 solves
+    assert (matrices.misses, matrices.currsize, matrices.hits) == (5, 5, 16)
+    # B_0..B_10, for the largest identity weight 5, each computed once
+    assert (bernoulli.misses, bernoulli.currsize) == (11, 11)
+    assert (matrices_again.misses, bernoulli_again.misses) == (5, 11)
+
+
+def test_bernoulli_numbers_are_shared_by_every_genus(clear_memos):
+    genus_pair_log(AHAT, 5)
+    assert genera._bernoulli.cache_info().misses == 11
+    genus_pair_log(L_FULL, 5)
+    genus_pair_log(L_HALF, 3)
+    assert genera._bernoulli.cache_info().misses == 11
+
+
+def test_combination_matrix_is_fresh_per_call(clear_memos):
+    first = modforms.combination_matrix(10)
+    expected = [list(row) for row in first]
+    first[0][0] += 1
+    first.pop()
+    assert modforms.combination_matrix(10) == expected
+    assert modforms._combination_matrix.cache_info().misses == 1
 
 
 def test_verify_all_computes_each_series_once(clear_memos, tmp_path):

@@ -5,10 +5,12 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
 
+from anomform import modforms
 from anomform.anomaly import P2, Q2, ROUTE_KTHEORY, identity_profile, p_form
 from anomform.chroot import GradedClass, GradedRing, RootProfile
 from anomform.cli import main
@@ -24,12 +26,11 @@ from anomform.modforms import (
     identity_parameters,
     modular_basis,
     theta1_nullwert_fourth,
-    theta2_nullwert,
-    theta3_nullwert,
     theta_nullwert,
 )
 from anomform.qseries import QQ, HalfQSeries
 from anomform.witten import THETA2, build_theta_bundle, chern_character
+from dense_series import delta_epsilon_product, nullwert_product, theta1_fourth_product
 
 ORDER = 24  # through q^11 for the oracles below
 
@@ -71,15 +72,56 @@ def sum_oracle_theta1_fourth(order2):
 
 
 def test_theta2_matches_sum_formula():
-    assert theta2_nullwert(ORDER) == sum_oracle_theta2(ORDER)
+    assert theta_nullwert(2, ORDER) == sum_oracle_theta2(ORDER)
 
 
 def test_theta3_matches_sum_formula():
-    assert theta3_nullwert(ORDER) == sum_oracle_theta3(ORDER)
+    assert theta_nullwert(3, ORDER) == sum_oracle_theta3(ORDER)
 
 
 def test_theta1_fourth_matches_sum_formula():
     assert theta1_nullwert_fourth(ORDER) == sum_oracle_theta1_fourth(ORDER)
+
+
+# -- infinite-product oracles (tests/dense_series.py) ----------------------------
+
+PRODUCT_ORDER = 41  # through q^20
+
+# form -> (library builder, product oracle), each taking order2
+PRODUCT_ORACLES = {
+    "theta2": (partial(theta_nullwert, 2), partial(nullwert_product, -1)),
+    "theta3": (partial(theta_nullwert, 3), partial(nullwert_product, 1)),
+    "theta1^4": (theta1_nullwert_fourth, theta1_fourth_product),
+    **{
+        which: (partial(delta_epsilon, which), partial(delta_epsilon_product, which))
+        for which in ("delta1", "eps1", "delta2", "eps2")
+    },
+}
+
+
+def first_product_mismatch(form, order2):
+    """First exp2 where the library's form differs from its product oracle, else None."""
+    library, oracle = (build(order2) for build in PRODUCT_ORACLES[form])
+    assert library.order2 == oracle.order2 == order2
+    return next(
+        (e for e in range(order2) if library.coefficient(e) != oracle.coefficient(e)), None
+    )
+
+
+@pytest.mark.parametrize("form", PRODUCT_ORACLES)
+def test_closed_forms_match_their_infinite_products(form):
+    for order2 in (0, 1, 2, 3, PRODUCT_ORDER):
+        assert first_product_mismatch(form, order2) is None
+
+
+def test_product_oracle_rejects_sigma1_in_delta2(monkeypatch):
+    # sigma_1(2) = 3 where sigma_1^odd(2) = 1: delta_2 first differs at q^1
+    constant, scale, p, _, step = modforms._EISENSTEIN["delta2"]
+    monkeypatch.setitem(
+        modforms._EISENSTEIN, "delta2", (constant, scale, p, lambda k, c: 1, step)
+    )
+    assert first_product_mismatch("delta2", PRODUCT_ORDER) == 2
+    assert first_product_mismatch("eps2", PRODUCT_ORDER) is None
 
 
 def test_theta_vanishing_nullwert():

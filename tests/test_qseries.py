@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from anomform.chroot import GradedRing, RootProfile
-from anomform.modforms import delta_epsilon, theta2_nullwert
+from anomform.modforms import delta_epsilon, theta_nullwert
 from anomform.qseries import QQ, HalfQSeries, RingMismatchError, TruncationError
 
 
@@ -73,7 +73,7 @@ def test_inverse_alternating_geometric():
 
 
 def test_inverse_of_theta2_nullwert():
-    t2 = theta2_nullwert(9)  # through q^4
+    t2 = theta_nullwert(2, 9)  # through q^4
     product = t2.inverse() * t2
     assert product == HalfQSeries.one(QQ, 9)
 

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from anomform import thetanum
-from anomform.modforms import delta_epsilon, theta2_nullwert, theta3_nullwert
+from anomform.modforms import delta_epsilon, theta_nullwert
 from anomform.thetanum import (
     check_transformation,
     delta_epsilon_eval,
@@ -56,8 +56,8 @@ def test_exact_series_agree_with_product_evaluation():
     w = cmath.exp(1j * cmath.pi * tau)  # q^(1/2)
     order2 = 40
     pairs = [
-        (theta2_nullwert(order2), nullwert("theta2", tau)),
-        (theta3_nullwert(order2), nullwert("theta3", tau)),
+        (theta_nullwert(2, order2), nullwert("theta2", tau)),
+        (theta_nullwert(3, order2), nullwert("theta3", tau)),
         (delta_epsilon("delta1", order2), delta_epsilon_eval("delta1", tau)),
         (delta_epsilon("eps1", order2), delta_epsilon_eval("eps1", tau)),
         (delta_epsilon("delta2", order2), delta_epsilon_eval("delta2", tau)),

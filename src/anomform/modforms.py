@@ -46,11 +46,13 @@ class SpanError(ValueError):
 
 def eisenstein_series(constant, scale, p: int, weight, step: int, order2: int) -> HalfQSeries:
     """constant + scale sum_(n>=1) sum_(k|n) weight(k, n/k) k^p q^(step n/2), below order2."""
-    scale = Fraction(scale)
-    terms = {
-        step * n: scale * sum(weight(k, n // k) * k**p for k in range(1, n + 1) if n % k == 0)
-        for n in range(1, (order2 - 1) // step + 1)
-    }
+    scale, top = Fraction(scale), (order2 - 1) // step
+    sums = [0] * (top + 1)
+    for k in range(1, top + 1):  # k adds to its multiples: O(N log N) in N = top
+        kp = k**p
+        for co in range(1, top // k + 1):
+            sums[k * co] += weight(k, co) * kp
+    terms = {step * n: scale * s for n, s in enumerate(sums) if n}
     return HalfQSeries(QQ, {0: Fraction(constant), **terms}, order2)
 
 

@@ -1,14 +1,9 @@
-"""Numeric evaluation of the four Jacobi theta functions and law checks.
+"""Numeric Jacobi thetas and the modular transformation laws, with relative residuals.
 
-Double-precision product-formula evaluation on the upper half plane, plus
-residual checks of the modular transformation laws: the T/S laws of the
-four thetas, the S-law sending delta_2/epsilon_2 to delta_1/epsilon_1, and
-the S-transformation exchanging the two degree-extracted characteristic
-q-series (with numeric root values and jets truncated at the identity
-degree standing in for the nilpotent curvature variables).  A root pair's
-quotient jet does not depend on the root value, so one jet per (side, tau)
-serves every root; one table of q-powers per tau serves every theta
-product there (a jet's sample points, a law's partner thetas).
+Product formulas (the oracle of eq3.1-eq3.5) give residuals divided by |rhs|, or for
+eq3.5delta by its nullwert 4th powers' moduli, as delta_1 vanishes at (+-1 + i)/2.
+The jet laws eq3.11/eq3.32 read ``anomaly.theta_quotient_pair_series``; they divide
+by |2 tau|^w times the size of the rhs terms.
 """
 
 from __future__ import annotations
@@ -17,8 +12,11 @@ import cmath
 import math
 import sys
 import warnings
-from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import mul
 
+from .anomaly import P1, P2, theta_quotient_pair_series
+from .genera import L_FULL
 from .qseries import Record
 
 
@@ -30,9 +28,7 @@ def _check_tau(tau: complex):
 def product_terms_needed(tau: complex, target: float = 1e-16) -> int:
     """Smallest n with |q|^n below target (|q| = e^(-2 pi Im tau))."""
     _check_tau(tau)
-    log_q = -2.0 * math.pi * tau.imag
-    n = int(math.log(target) / log_q) + 1
-    return max(n, 1)
+    return max(int(math.log(target) / (-2.0 * math.pi * tau.imag)) + 1, 1)
 
 
 # kind -> (sign of the w-factors, half-integer q-powers, v-factor of the q^(1/8) prefactor)
@@ -53,15 +49,21 @@ def _caller_stacklevel() -> int:
     return level
 
 
-def _tau_tables(tau: complex, n_terms: int | None, half: bool) -> tuple:
-    """One tau's table (2 q^(1/8), [q^j], [q^(j - 1/2)] if half else None, [1 - q^j])."""
+def _product_terms(tau: complex, n_terms: int | None) -> int:
+    """n_terms, or product_terms_needed(tau) if None; warns when n_terms falls short."""
     _check_tau(tau)
     if n_terms is None:
-        n_terms = product_terms_needed(tau)
-    elif math.exp(-2.0 * math.pi * tau.imag * n_terms) > 1e-10:
+        return product_terms_needed(tau)
+    if math.exp(-2.0 * math.pi * tau.imag * n_terms) > 1e-10:
         warnings.warn(f"n_terms={n_terms} leaves |q|^n above 1e-10 at tau={tau}; the "
                       "truncated product may miss the target accuracy", RuntimeWarning,
                       stacklevel=_caller_stacklevel())
+    return n_terms
+
+
+def _tau_tables(tau: complex, n_terms: int | None, half: bool) -> tuple:
+    """One tau's table (2 q^(1/8), [q^j], [q^(j - 1/2)] if half else None, [1 - q^j])."""
+    n_terms = _product_terms(tau, n_terms)
     q = cmath.exp(2j * cmath.pi * tau)
     # q^(1/8) enters as exp(2 pi i tau / 8); shifted powers for j-1/2
     eighth = 2.0 * cmath.exp(cmath.pi * 1j * tau / 4.0)
@@ -95,23 +97,21 @@ def theta_eval(kind: str, v: complex, tau: complex, n_terms: int | None = None) 
     return _theta_products((kind,), v, _tau_tables(tau, n_terms, _KINDS[kind][1]))[0]
 
 
-def _theta_prime(tau: complex, tables: tuple) -> complex:
-    value = 2.0 * cmath.pi * cmath.exp(cmath.pi * 1j * tau / 4.0)
-    for e in tables[3]:
-        value *= e**3
-    return value
-
-
 def nullwert(kind: str, tau: complex, n_terms: int | None = None) -> complex:
     return theta_eval(kind, 0.0, tau, n_terms)
 
 
-def delta_epsilon_eval(which: str, tau: complex, n_terms: int | None = None) -> complex:
-    """Numeric delta_i / epsilon_i from the 4th powers of the two nullwerte it needs."""
+def _nullwert_fourths(which: str, tau: complex, n_terms: int | None):
+    """The 4th powers of the two nullwerte that build delta_i / epsilon_i."""
     if which not in _FORM_KINDS:
         raise ValueError(f"unknown form {which!r}")
     tables = _tau_tables(tau, n_terms, True)  # each pair holds theta3, which takes q^(j - 1/2)
-    a, b = (t**4 for t in _theta_products(_FORM_KINDS[which], 0.0, tables))
+    return (t**4 for t in _theta_products(_FORM_KINDS[which], 0.0, tables))
+
+
+def delta_epsilon_eval(which: str, tau: complex, n_terms: int | None = None) -> complex:
+    """Numeric delta_i / epsilon_i from the 4th powers of the two nullwerte it needs."""
+    a, b = _nullwert_fourths(which, tau, n_terms)
     if which == "delta1":
         return (a + b) / 8.0
     if which == "delta2":
@@ -149,6 +149,11 @@ class NumericCheckReport(Record):
         }
 
 
+def _relative(lhs: complex, rhs: complex) -> float:
+    """|lhs - rhs| / |rhs|; two exact zeros (theta at v = 0) agree."""
+    return abs(lhs - rhs) / abs(rhs) if rhs else (math.inf if lhs else 0.0)
+
+
 _S_PARTNER = {"theta": "theta", "theta1": "theta2", "theta2": "theta1", "theta3": "theta3"}
 _T_PARTNER = {"theta": "theta", "theta1": "theta1", "theta2": "theta3", "theta3": "theta2"}
 _T_PHASE = {"theta": True, "theta1": True, "theta2": False, "theta3": False}
@@ -156,7 +161,7 @@ _LAW_KIND = {"eq3.1": "theta", "eq3.2": "theta1", "eq3.3": "theta2", "eq3.4": "t
 
 
 def _theta_law_residuals(kind: str, v: complex, tau: complex, n_terms: int | None):
-    """Residuals of the T-law and S-law of one theta function at (v, tau)."""
+    """Relative residuals of the T-law and S-law of one theta function at (v, tau)."""
     phase = cmath.exp(1j * cmath.pi / 4) if _T_PHASE[kind] else 1.0
     t_kind, s_kind = _T_PARTNER[kind], _S_PARTNER[kind]
     lhs_t = theta_eval(kind, v, tau + 1, n_terms)
@@ -169,105 +174,92 @@ def _theta_law_residuals(kind: str, v: complex, tau: complex, n_terms: int | Non
         prefactor = prefactor / 1j
     lhs_s = theta_eval(kind, v, -1.0 / tau, n_terms)
     rhs_s = prefactor * _theta_products((s_kind,), tau * v, at_tau)[0]
-    return abs(lhs_t - rhs_t), abs(lhs_s - rhs_s)
+    return _relative(lhs_t, rhs_t), _relative(lhs_s, rhs_s)
 
 
 def _delta_eps_law_residual(which: str, tau: complex, n_terms: int | None) -> float:
-    if which == "delta":
-        lhs = delta_epsilon_eval("delta2", -1.0 / tau, n_terms)
-        rhs = tau * tau * delta_epsilon_eval("delta1", tau, n_terms)
-    else:
-        lhs = delta_epsilon_eval("eps2", -1.0 / tau, n_terms)
-        rhs = tau**4 * delta_epsilon_eval("eps1", tau, n_terms)
-    return abs(lhs - rhs)
+    lhs = delta_epsilon_eval(which + "2", -1.0 / tau, n_terms)
+    a, b = _nullwert_fourths(which + "1", tau, n_terms)
+    if which == "eps":
+        return _relative(lhs, tau**4 * (a * b / 16.0))
+    return abs(lhs - tau * tau * ((a + b) / 8.0)) / (abs(tau * tau) * (abs(a) + abs(b)) / 8.0)
 
 
-def _pair_jet(side: int, tau: complex, max_degree: int, n_terms: int | None) -> list:
-    """Jet c_0..c_max_degree of one root pair's determinant-normalized theta quotient.
+_PAIR_LOG_MEMO: dict = {}  # (side, w) -> (order2, f0, L_j as doubles by exp2 < order2, j <= w/2)
 
-    side 1: v = i t / pi with the theta_1 quotient (the Theta_1 side);
-    side 2: v = i t / (2 pi) with the theta_2 quotient (the Theta_2 side).
-    The jet does not depend on the root value x: a root's term vector is
-    c_d x^d, so one jet per (side, tau) serves every root.  Coefficients are
-    extracted by roots-of-unity sampling (aliasing error O(radius^points)).
+
+def _pair_log_terms(tau: complex, w: int, n_terms: int | None) -> int:
+    """Pair-log terms to sum at tau: through q^n_terms, or while n^w |q|^(n/2) >= 1e-18."""
+    if n_terms is not None:
+        return 2 * _product_terms(tau, n_terms) + 1
+    _check_tau(tau)
+    a, cut = math.pi * tau.imag, math.log(1e-18)  # |q|^(n/2) = e^(-a n)
+    n = max(1.0, w / a)  # the peak of n^w e^(-a n)
+    while w * math.log(n) - a * n >= cut:
+        n = max(n + 1.0, (w * math.log(n) - cut) / a)
+    return math.ceil(n)
+
+
+def _pair_logs(side: int, w: int, size: int) -> tuple:
+    """f0 and the float L_j of side 1 (full-angle Theta_1) or 2 (A-roof Theta_2), exp2 < size."""
+    held = _PAIR_LOG_MEMO.get((side, w))
+    if held is None or held[0] < size:  # a table too short is rebuilt at least twice as long
+        order2 = size if held is None else max(size, 2 * held[0])
+        f0, logs = theta_quotient_pair_series(P1 if side == 1 else P2, L_FULL, order2, w // 2)
+        # flat buffers of doubles: a float object per coefficient would fragment the heap
+        rows = [memoryview(bytearray(8 * order2)).cast("d") for _ in logs]
+        for row, log in zip(rows, logs):
+            for exp2, c in log.items():
+                row[exp2] = float(c)
+        held = _PAIR_LOG_MEMO[(side, w)] = (order2, float(f0.coefficient(0)), rows)
+    return held[1], held[2]
+
+
+def _root_pair_product(side: int, w: int, tau: complex, roots: list, n_terms) -> tuple:
+    """Degree-w part of prod_roots f0 exp(sum_j L_j(tau) x^(2j)), and the size of its terms.
+
+    Each is f_(w/2) of f0^r exp(sum_j g_j u^j), k f_k = sum_j j g_j f_(k-j), with g_j =
+    L_j sum_roots x^(2j) for the value and |L_j| sum_roots |x|^(2j) for the size.
     """
-    points = 2 * max_degree + 10
-    radius = 0.25
-    quotient_kind = "theta1" if side == 1 else "theta2"
-    tables = _tau_tables(tau, n_terms, side == 2)  # theta2 takes q^(j - 1/2)
-    null = _theta_products((quotient_kind,), 0.0, tables)[0]
-    prime = _theta_prime(tau, tables)
-    samples = []
-    for k in range(points):
-        t = radius * cmath.exp(2j * cmath.pi * k / points)
-        v = 1j * t / cmath.pi if side == 1 else 1j * t / (2 * cmath.pi)
-        theta, quotient = _theta_products(("theta", quotient_kind), v, tables)
-        samples.append(v * prime / theta * quotient / null)
-    jet = []
-    for d, row in enumerate(_dft_rows(points, max_degree)):
-        acc = 0j
-        for s, twiddle in zip(samples, row):
-            acc += s * twiddle
-        jet.append(acc / (points * radius**d))
-    return jet
-
-
-@lru_cache(maxsize=16)
-def _dft_rows(points: int, max_degree: int) -> tuple:
-    """Twiddle rows exp(-2 pi i k d / points), k < points, for d = 0..max_degree."""
-    return tuple(tuple(cmath.exp(-2j * cmath.pi * k * d / points) for k in range(points))
-                 for d in range(max_degree + 1))
-
-
-def _root_terms(jet: list, roots: list) -> list:
-    """Each root's term vector c_d x^d of one pair jet."""
-    return [[c * complex(x) ** d for d, c in enumerate(jet)] for x in roots]
-
-
-def _top_degree_product(term_vectors: list, degree: int) -> complex:
-    """Coefficient-sum of total degree `degree` across per-pair term vectors."""
-    acc = [0j] * (degree + 1)
-    acc[0] = 1.0 + 0j
-    for vec in term_vectors:
-        new = [0j] * (degree + 1)
-        for i, a in enumerate(acc):
-            if a == 0:
-                continue
-            for j, b in enumerate(vec):
-                if i + j <= degree:
-                    new[i + j] += a * b
-        acc = new
-    return acc[degree]
+    size = _pair_log_terms(tau, w, n_terms)
+    f0, rows = _pair_logs(side, w, size)
+    powers = list(accumulate(repeat(cmath.exp(1j * cmath.pi * tau), size - 1), mul, initial=1.0))
+    logs = [sum(map(mul, row, powers)) for row in rows]  # at q^(1/2) = e^(i pi tau)
+    u = [complex(x) ** 2 for x in roots]
+    g = [(ell * sum(x**j for x in u), abs(ell) * sum(abs(x) ** j for x in u))
+         for j, ell in enumerate(logs, 1)]
+    f = [(f0 ** len(u), abs(f0) ** len(u))]
+    for k in range(1, len(g) + 1):
+        f.append(tuple(sum(j * g[j - 1][c] * f[k - j][c] for j in range(1, k + 1)) / k
+                       for c in (0, 1)))
+    return f[-1]
 
 
 def transformed_pq_residual(m: int, roots: list, tau: complex, z_case: bool = False,
                             n_terms: int | None = None) -> float:
-    """Residual of the S-transformation between the two degree-extracted series.
+    """Relative residual of the S-transformation between the two degree-extracted series.
 
-    Checks {side-1 product}(roots, -1/tau) = 2^w tau^w {side-2 product}(roots, tau)
-    on the degree-w jet, w = 4m+2 (or 4m for the 8m-degree family), in the
-    determinant normalization that doubles the side-1 root exponentials.
+    {side-1 product}(roots, -1/tau) = 2^w tau^w {side-2 product}(roots, tau) in
+    degree w = 4m+2 (4m for the 8m-degree family), side 1 doubling the root
+    exponentials; divided by |2 tau|^w times the size of the side-2 terms.
     """
     w = 4 * m if z_case else 4 * m + 2
-    tau_s = -1.0 / tau
-    n_lhs = product_terms_needed(tau_s) if n_terms is None else n_terms
-    n_rhs = product_terms_needed(tau) if n_terms is None else n_terms
-    lhs = _top_degree_product(_root_terms(_pair_jet(1, tau_s, w, n_lhs), roots), w)
-    rhs = _top_degree_product(_root_terms(_pair_jet(2, tau, w, n_rhs), roots), w)
-    expected = (2.0 * tau) ** w * rhs
-    scale = max(1.0, abs(expected))
-    return abs(lhs - expected) / scale
+    lhs, _ = _root_pair_product(1, w, -1.0 / tau, roots, n_terms)
+    rhs, scale = _root_pair_product(2, w, tau, roots, n_terms)
+    factor = (2.0 * tau) ** w
+    return abs(lhs - factor * rhs) / (abs(factor) * scale)
 
 
 # a sample tau that needs more product terms than this, at tau or -1/tau, is rejected
 MAX_PRODUCT_TERMS = 10_000
 
 
-def _check_sample_tau(tau: complex) -> None:
+def _check_sample_tau(tau: complex, v: complex | None) -> None:
     """Reject a sample tau before anything is evaluated, naming it as given.
 
-    A law evaluates at tau, tau + 1 and -1/tau; tau + 1 needs as many
-    product terms as tau.
+    A law evaluates at tau, tau + 1 (as many product terms as tau) and -1/tau.
+    A product-formula law (v not None) needs normal doubles for q^(1/8) there
+    and e^(+-2 pi i v') at v' = v and tau v: else a theta is flushed to 0 or 1/0.
     """
     if not (cmath.isfinite(tau) and tau.imag > 0):
         raise ValueError(f"tau={tau} is not a finite point of the upper half plane")
@@ -276,6 +268,10 @@ def _check_sample_tau(tau: complex) -> None:
         if not at.imag > 0 or math.log(1e-16) / (-2.0 * math.pi * at.imag) >= MAX_PRODUCT_TERMS:
             raise ValueError(f"tau={tau} needs more than {MAX_PRODUCT_TERMS} product terms "
                              f"at {at}")
+    if v is not None and math.pi * max(  # -log of |q^(1/8)| and the smaller |e^(+-2 pi i v')|
+            tau.imag / 4.0, (-1.0 / tau).imag / 4.0, 2.0 * abs(v.imag), 2.0 * abs((tau * v).imag)
+    ) >= -math.log(sys.float_info.min):
+        raise ValueError(f"tau={tau} takes q^(1/8) or e^(2 pi i v) outside the normal doubles")
 
 
 def check_transformation(law: str, samples: list, tol: float = 1e-9,
@@ -285,25 +281,26 @@ def check_transformation(law: str, samples: list, tol: float = 1e-9,
     Laws eq3.1..eq3.4 take (v, tau) samples and produce two residuals each
     (tau -> tau + 1 and tau -> -1/tau); eq3.5delta / eq3.5eps take tau
     samples; eq3.11 / eq3.32 take (m, roots, tau) samples.  An empty sample
-    set or a sample without roots (either would pass with nothing checked), a
-    non-finite tau, one off the upper half plane or one needing more than
-    MAX_PRODUCT_TERMS product terms raises ValueError before any sample is
-    evaluated.
+    set, a jet sample without nonzero roots or below the law's first m, or a
+    tau that ``_check_sample_tau`` refuses raises ValueError before any sample
+    is evaluated.
     """
-    if law in _LAW_KIND:
-        taus = [tau for _, tau in samples]
+    if law in _LAW_KIND:  # each sample's tau, and the v of a product-formula law
+        taus = ((tau, v) for v, tau in samples)
     elif law in ("eq3.5delta", "eq3.5eps"):
-        taus = samples
+        taus = ((tau, 0) for tau in samples)
     elif law in ("eq3.11", "eq3.32"):
-        taus = [tau for _, _, tau in samples]
+        taus = ((tau, None) for _, _, tau in samples)
     else:
         raise ValueError(f"unknown transformation law {law!r}")
     if not samples:
         raise ValueError(f"{law} has no samples to check")
-    if law in ("eq3.11", "eq3.32") and not all(roots for _, roots, _ in samples):
-        raise ValueError(f"{law} sample has no roots: an empty root product checks 0 = 0")
-    for tau in taus:
-        _check_sample_tau(complex(tau))
+    if law in ("eq3.11", "eq3.32") and not all(any(map(complex, roots)) for _, roots, _ in samples):
+        raise ValueError(f"{law} sample has no roots other than 0: its product checks 0 = 0")
+    if law in ("eq3.11", "eq3.32") and min(m for m, _, _ in samples) < (law == "eq3.32"):
+        raise ValueError(f"{law} sample has m below {int(law == 'eq3.32')}: degree w under 2")
+    for tau, v in taus:
+        _check_sample_tau(complex(tau), None if v is None else complex(v))
     residuals: list = []
     recorded: list = []
     if law in _LAW_KIND:

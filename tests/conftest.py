@@ -1,8 +1,10 @@
 """Shared fixtures."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from anomform import anomaly, chroot, genera, modforms, witten
+from anomform import anomaly, chroot, genera, modforms, thetanum, witten
 
 # Every in-process memo of an exact artifact; values outlive a single call.
 _MEMOS = (
@@ -16,6 +18,7 @@ _MEMOS = (
     genera.a_hat,
     genera.l_class,
     anomaly.p_form,
+    SimpleNamespace(cache_clear=thetanum._PAIR_LOG_MEMO.clear),
 )
 
 

@@ -15,11 +15,16 @@ Likewise the library writes the level-2 forms as Eisenstein series and the
 nullwerte as Jacobi sums; the oracles here expand the nullwerte from their
 infinite products and build delta/epsilon from their 4th powers
 (``nullwert_product``, ``theta1_fourth_product``, ``delta_epsilon_product``).
+Likewise the library reads a root pair's theta-quotient jet from the exact
+pair logs; ``sampled_pair_jet`` extracts it from product-formula theta
+values by a discrete Fourier transform on a circle.
 """
 
+import cmath
 from fractions import Fraction
 from math import factorial
 
+from anomform import thetanum
 from anomform.chroot import pair_log, product_over_root_pairs
 from anomform.qseries import QQ, HalfQSeries
 
@@ -188,3 +193,44 @@ def delta_epsilon_product(which, order2):
         t1 = theta1_fourth_product(order2)
         series = -(t1 + t3) / 8 if which == "delta2" else (t1 * t3) / 16
     return series.truncate(order2)
+
+
+def sampled_pair_jet(side, tau, max_degree, n_terms=None):
+    """Jet c_0..c_max_degree of one root pair's theta quotient, from product-formula samples.
+
+    side 1: v = i t / pi with the theta_1 quotient (the Theta_1 side);
+    side 2: v = i t / (2 pi) with the theta_2 quotient (the Theta_2 side).
+    The quotient v theta'(0) / theta(v) * theta_i(v) / theta_i(0) is sampled
+    at 2 max_degree + 10 points of the circle |t| = 1/4, and the jet is
+    their discrete Fourier transform (aliasing error O(4^-points)).
+    """
+    points = 2 * max_degree + 10
+    radius = 0.25
+    quotient_kind = "theta1" if side == 1 else "theta2"
+    tables = thetanum._tau_tables(tau, n_terms, side == 2)  # theta2 takes q^(j - 1/2)
+    null = thetanum._theta_products((quotient_kind,), 0.0, tables)[0]
+    # theta'(0) = 2 pi q^(1/8) prod (1 - q^j)^3
+    prime = 2.0 * cmath.pi * cmath.exp(cmath.pi * 1j * tau / 4.0)
+    for e in tables[3]:
+        prime *= e**3
+    samples = []
+    for k in range(points):
+        t = radius * cmath.exp(2j * cmath.pi * k / points)
+        v = 1j * t / cmath.pi if side == 1 else 1j * t / (2 * cmath.pi)
+        theta, quotient = thetanum._theta_products(("theta", quotient_kind), v, tables)
+        samples.append(v * prime / theta * quotient / null)
+    return [
+        sum(s * cmath.exp(-2j * cmath.pi * k * d / points) for k, s in enumerate(samples))
+        / (points * radius**d)
+        for d in range(max_degree + 1)
+    ]
+
+
+def jet_degree_part(jet, roots, degree):
+    """Degree-`degree` part of the product over the roots x of sum_d jet[d] x^d."""
+    acc = [1.0 + 0j] + [0j] * degree
+    for x in roots:
+        terms = [c * complex(x) ** d for d, c in enumerate(jet)]
+        acc = [sum(acc[i] * terms[n - i] for i in range(n + 1) if n - i < len(terms))
+               for n in range(degree + 1)]
+    return acc[degree]

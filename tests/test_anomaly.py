@@ -28,6 +28,7 @@ from anomform.chroot import GradedClass, RootProfile
 from anomform.genera import a_hat, l_class
 from anomform.qseries import HalfQSeries
 from anomform.witten import chern_character
+from dense_series import jet_degree_part, sampled_pair_jet
 
 B_DIMS = (1, 2, 3, 9, 10, 11, 17, 18, 19)
 Z_DIMS = (5, 6, 7, 13, 14, 15)
@@ -376,11 +377,10 @@ def test_p_form_routes_agree_directly():
 def test_exact_series_match_numeric_quotient_jets(dim, kind, w, roots):
     # end-to-end oracle: the exact symbolic route evaluated at numeric tau
     # and rational roots must agree with the direct complex theta-quotient
-    # product (independent code path through the numeric module)
+    # product (independent code path through the product-formula thetas)
     import cmath
 
     from anomform.chroot import eval_at_roots
-    from anomform.thetanum import _pair_jet, _root_terms, _top_degree_product
 
     profile = identity_profile(dim)
     series = p_form(kind, profile, ROUTE_KTHEORY, order2=10)
@@ -391,8 +391,7 @@ def test_exact_series_match_numeric_quotient_jets(dim, kind, w, roots):
         complex(eval_at_roots(cls, root_fractions)) * q_half**exp2
         for exp2, cls in series.items()
     )
-    vecs = _root_terms(_pair_jet(2, tau, w, None), root_fractions)
-    numeric = _top_degree_product(vecs, w)
+    numeric = jet_degree_part(sampled_pair_jet(2, tau, w), root_fractions, w)
     assert abs(exact - numeric) < 1e-12
 
 

@@ -118,6 +118,13 @@ def test_verify_option_no_suite_reads_exits_2(capsys, argv, message):
         ("eq3.1", "nan+1i", "tau=(nan+1j) is not a finite point"),
         ("eq3.11", "10000+1i", "tau=(10000+1j) needs more than 10000 product terms"),
         (None, "0.3+1e-6i", "tau=(0.3+1e-06j) needs more than 10000 product terms"),
+        # e^(2 pi i tau v) underflows at v = 0.2+0.1i, and q^(1/8) at tau
+        ("eq3.1", "1000i", "tau=1000j takes q^(1/8) or e^(2 pi i v) outside the normal doubles"),
+        ("eq3.3", "1000i", "tau=1000j takes q^(1/8)"),
+        ("eq3.4", "1000i", "tau=1000j takes q^(1/8)"),
+        # q^(1/8) at -1/tau underflows: theta there would be flushed to 0
+        ("eq3.1", "0.001i", "tau=0.001j takes q^(1/8)"),
+        ("eq3.5", "0.001i", "tau=0.001j takes q^(1/8)"),
     ),
 )
 def test_verify_numeric_unusable_tau_exits_2(monkeypatch, capsys, law, tau, message):
@@ -129,6 +136,17 @@ def test_verify_numeric_unusable_tau_exits_2(monkeypatch, capsys, law, tau, mess
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "law, tau",
+    (("eq3.11", "20i"), ("eq3.32", "0.05i"), ("eq3.11", "0.01i"), ("eq3.32", "300i"),
+     ("eq3.11", "0.001i")),
+)
+def test_verify_numeric_jet_law_far_from_i_exits_0(capsys, law, tau):
+    code, out, _ = run(capsys, "verify", "numeric", "--law", law, "--tau", tau)
+    (report,) = json.loads(out)["results"]
+    assert (code, report["status"]) == (0, "pass"), report["residuals"]
 
 
 def test_verify_max_degree_from_config_file_exits_2(tmp_path, capsys):

@@ -124,6 +124,35 @@ def test_product_oracle_rejects_sigma1_in_delta2(monkeypatch):
     assert first_product_mismatch("eps2", PRODUCT_ORDER) is None
 
 
+def direct_divisor_sum(constant, scale, p, weight, step, order2):
+    """eisenstein_series' sum with every k <= n tested for dividing n."""
+    terms = {
+        step * n: Fraction(scale) * sum(weight(k, n // k) * k**p
+                                        for k in range(1, n + 1) if n % k == 0)
+        for n in range(1, (order2 - 1) // step + 1)
+    }
+    return HalfQSeries(QQ, {0: Fraction(constant), **terms}, order2)
+
+
+# the weights and steps of anomaly.theta_quotient_pair_series: Theta_1 side, Theta_2 side
+PAIR_LOG_SPECS = [
+    (Fraction(1, 3), Fraction(2, 3), 2 * j - 1, weight, step)
+    for weight, step in ((lambda k, co: 2 * (k % 2), 2), (lambda k, co: (-1) ** co, 1))
+    for j in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize(
+    "spec", list(modforms._EISENSTEIN.values()) + PAIR_LOG_SPECS,
+    ids=list(modforms._EISENSTEIN) + [f"pair-log-{i}" for i in range(len(PAIR_LOG_SPECS))],
+)
+def test_eisenstein_series_sums_over_multiples_as_the_divisor_sum(spec):
+    for order2 in (0, 1, 2, 3, 200, 201):
+        loop, direct = modforms.eisenstein_series(*spec, order2), direct_divisor_sum(*spec, order2)
+        assert loop.order2 == direct.order2 == order2
+        assert list(loop.items()) == list(direct.items())
+
+
 def test_theta_vanishing_nullwert():
     assert not theta_nullwert(0, 8)
 

@@ -11,8 +11,13 @@ change of the numbers, and say why in the change log.
 
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+from anomform import thetanum
+from anomform.qseries import QQ, HalfQSeries
 from anomform.thetanum import check_transformation
 
 DATA = Path(__file__).parent / "data" / "numeric_laws.json"
@@ -55,6 +60,52 @@ def golden_text() -> str:
 
 def test_numeric_law_reports_are_bit_identical():
     assert golden_text() == DATA.read_text()
+
+
+def _double_lhs(monkeypatch):
+    product = thetanum._root_pair_product
+
+    def doubled(side, w, tau, roots, n_terms):
+        value, scale = product(side, w, tau, roots, n_terms)
+        return (2 * value if side == 1 else value), scale
+
+    monkeypatch.setattr(thetanum, "_root_pair_product", doubled)
+
+
+def _power_of_two_short(monkeypatch):
+    # 2^(w-1) tau^w in place of 2^w tau^w
+    product = thetanum._root_pair_product
+
+    def halved(side, w, tau, roots, n_terms):
+        value, scale = product(side, w, tau, roots, n_terms)
+        return (value / 2 if side == 2 else value), scale
+
+    monkeypatch.setattr(thetanum, "_root_pair_product", halved)
+
+
+def _perturb_l1_constant(monkeypatch):
+    # L_1 + 1/1000 on the A-roof (Theta_2) side
+    series = thetanum.theta_quotient_pair_series
+
+    def perturbed(kind, l_variant, order2, max_weight):
+        f0, logs = series(kind, l_variant, order2, max_weight)
+        if kind == "P2" and logs:
+            shift = HalfQSeries(QQ, {0: Fraction(1, 1000)}, order2)
+            logs = (logs[0] + shift, *logs[1:])
+        return f0, logs
+
+    monkeypatch.setattr(thetanum, "theta_quotient_pair_series", perturbed)
+
+
+@pytest.mark.parametrize("control", (_double_lhs, _power_of_two_short, _perturb_l1_constant))
+def test_jet_law_negative_controls_fail_on_every_golden_sample(monkeypatch, clear_memos, control):
+    control(monkeypatch)
+    jet_groups = [g for g in golden_groups() if g[0] in ("eq3.11", "eq3.32")]
+    assert {law for law, _, _ in jet_groups} == {"eq3.11", "eq3.32"}
+    for law, samples, n_terms in jet_groups:
+        for sample in samples:
+            report = check_transformation(law, [sample], n_terms=n_terms)
+            assert report.to_obj()["status"] == "fail", (law, sample, report.residuals)
 
 
 if __name__ == "__main__":

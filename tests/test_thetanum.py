@@ -15,6 +15,7 @@ from anomform.thetanum import (
     theta_eval,
     transformed_pq_residual,
 )
+from dense_series import sampled_pair_jet
 
 RNG_SEED = 424242
 
@@ -163,34 +164,62 @@ def count_work(monkeypatch) -> tuple:
 @pytest.mark.parametrize("m, z_case", ((1, False), (2, True)))
 def test_one_jet_per_side_whatever_the_roots(monkeypatch, n_roots, m, z_case):
     tables, products = count_work(monkeypatch)
-    jets = []
-    original = thetanum._pair_jet
+    sides = []
+    original = thetanum._pair_logs
 
-    def counted(side, tau, max_degree, n_terms):
-        jets.append(side)
-        return original(side, tau, max_degree, n_terms)
+    def counted(side, w, size):
+        sides.append((side, w))
+        return original(side, w, size)
 
-    monkeypatch.setattr(thetanum, "_pair_jet", counted)
+    monkeypatch.setattr(thetanum, "_pair_logs", counted)
     roots = [0.03 * (k + 1) * (-1) ** k for k in range(n_roots)]
     tau = complex(0.2, 1.1)
     assert transformed_pq_residual(m, roots, tau, z_case=z_case) < 1e-9
-    assert sorted(jets) == [1, 2]
-    # one table per jet side serves its nullwert, theta'(0) and every sample point
-    assert tables == [-1.0 / tau, tau]
-    # each jet: its nullwert, then one two-kind product per sample point
-    points = 2 * (4 * m if z_case else 4 * m + 2) + 10
-    side_1 = [("theta1",)] + [("theta", "theta1")] * points
-    side_2 = [("theta2",)] + [("theta", "theta2")] * points
-    assert products == side_1 + side_2
+    # one pair-log read per side serves every root; no product-formula theta is evaluated
+    w = 4 * m if z_case else 4 * m + 2
+    assert sides == [(1, w), (2, w)]
+    assert tables == products == []
 
 
-def test_twiddle_rows_built_once_per_points():
-    thetanum._dft_rows.cache_clear()
-    for tau in (complex(0.2, 1.1), complex(-0.1, 0.9)):
-        transformed_pq_residual(1, [0.1, -0.05], tau)
-    # both sides of both samples sample at the same 22 points
-    info = thetanum._dft_rows.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+def test_pair_log_table_built_once_per_side_and_weight(monkeypatch, clear_memos):
+    builds = []
+    original = thetanum.theta_quotient_pair_series
+
+    def counted(kind, l_variant, order2, max_weight):
+        builds.append((kind, order2, max_weight))
+        return original(kind, l_variant, order2, max_weight)
+
+    monkeypatch.setattr(thetanum, "theta_quotient_pair_series", counted)
+    rng = random.Random(RNG_SEED)
+    # the tables read at tau and at -1/tau; the first tau has Im 1/2 at both, and
+    # every later one lies in |tau - i| < 1, where both are larger
+    taus = [complex(math.sqrt(0.75), 0.5)] + [
+        complex(rng.uniform(-0.5, 0.5), rng.uniform(0.6, 1.8)) for _ in range(8)]
+    for law, m in (("eq3.11", 0), ("eq3.11", 1), ("eq3.32", 1), ("eq3.32", 2)):
+        samples = [(m, [rng.uniform(-0.2, 0.2) for _ in range(n)], tau)
+                   for tau in taus for n in (1, 2, 3)]
+        assert check_transformation(law, samples).passed
+    assert [(kind, w) for kind, _, w in builds] == [
+        (kind, w) for w in (1, 3, 2, 4) for kind in ("P1", "P2")]
+    # a tau that needs more terms replaces its tables by ones at least twice as long
+    (first_order2,) = {order2 for kind, order2, w in builds if (kind, w) == ("P2", 1)}
+    del builds[:]
+    assert transformed_pq_residual(0, [0.1], complex(0.0, 0.2)) < 1e-9
+    assert [(kind, w) for kind, _, w in builds] == [("P2", 1)]
+    assert builds[0][1] >= 2 * first_order2
+    assert set(thetanum._PAIR_LOG_MEMO) == {(side, w) for side in (1, 2) for w in (2, 6, 4, 8)}
+
+
+@pytest.mark.parametrize("side", (1, 2))
+@pytest.mark.parametrize("tau", (complex(0.3, 1.2), complex(-0.2, 0.9)))
+def test_closed_form_pair_jet_matches_sampled_oracle(side, tau):
+    # one root x = 1: the degree-d part of the product is the jet coefficient c_d
+    oracle = sampled_pair_jet(side, tau, 4)
+    for d in (0, 2, 4):
+        closed, _ = thetanum._root_pair_product(side, d, tau, [1.0], None)
+        assert abs(closed - oracle[d]) < 1e-10
+    # the quotient is even in x
+    assert max(abs(oracle[1]), abs(oracle[3])) < 1e-10
 
 
 @pytest.mark.parametrize("law", ["eq3.1", "eq3.2", "eq3.3", "eq3.4"])
@@ -235,6 +264,17 @@ def test_delta_epsilon_makes_one_two_kind_product(monkeypatch, which, kinds):
         # a product over zero root pairs is 1: its degree-w part is 0 on both sides
         ("eq3.11", [(1, [], 1.1j)], "eq3.11 sample has no roots"),
         ("eq3.32", [(1, [0.1, 0.05], 1j), (2, (), 1.1j)], "eq3.32 sample has no roots"),
+        # so is one whose roots are all 0, or whose degree w = 4m+2 (eq3.11) or 4m is below 2
+        ("eq3.11", [(0, [0.1], 1j), (1, [0.0, 0j], 1.1j)], "eq3.11 sample has no roots other"),
+        ("eq3.11", [(0, [0.1], 1j), (-1, [0.1], 1.1j)], "eq3.11 sample has m below 0"),
+        ("eq3.32", [(1, [0.1], 1j), (0, [0.1], 1.1j)], "eq3.32 sample has m below 1"),
+        # product-formula factors outside the normal doubles: q^(1/8) at tau or -1/tau ...
+        ("eq3.1", [(0.2, 1j), (0.2, 1000j)], r"tau=1000j takes q\^\(1/8\) or e\^\(2 pi i v\)"),
+        ("eq3.5eps", [1j, 0.001j], r"tau=0\.001j takes q\^\(1/8\)"),
+        ("eq3.5delta", [1j, complex(0.3, 950.0)], r"tau=\(0\.3\+950j\) takes"),
+        # ... or e^(2 pi i v') at v' = v or tau v
+        ("eq3.2", [(0.2, 1j), (complex(0.1, 120.0), 1j)], r"tau=1j takes q\^\(1/8\)"),
+        ("eq3.3", [(complex(0.2, 0.1), 1j), (complex(0.2, 0.1), 600j)], r"tau=600j takes"),
     ),
 )
 def test_unusable_tau_rejected_before_any_evaluation(monkeypatch, law, samples, message):
@@ -246,14 +286,52 @@ def test_unusable_tau_rejected_before_any_evaluation(monkeypatch, law, samples, 
         check_transformation(law, samples)
 
 
+def test_theta_laws_hold_at_theta_zero():
+    # theta(0, tau) = 0 on both sides of eq3.1: two exact zeros agree
+    report = check_transformation("eq3.1", [(0.0, 1j), (0j, complex(0.3, 1.2))])
+    assert report.residuals == [0.0] * 4
+
+
+def test_theta_law_residual_is_relative(monkeypatch):
+    # at v = 1e-10 theta is about 1e-10: a doubled lhs is off by 1e-10 absolutely
+    samples = [(1e-10, 1j), (complex(2e-11, 1e-11), complex(-0.3, 0.8))]
+    assert check_transformation("eq3.1", samples).max_residual < 1e-14
+    evaluate = thetanum.theta_eval
+    monkeypatch.setattr(thetanum, "theta_eval", lambda *args: 2 * evaluate(*args))
+    report = check_transformation("eq3.1", samples)
+    assert not report.passed and min(report.residuals) > 0.99
+
+
+def test_epsilon_law_residual_is_relative(monkeypatch):
+    # epsilon_2(-1/tau) at tau = 0.05i is about e^(-20 pi) = 5e-28
+    assert abs(delta_epsilon_eval("eps2", -1.0 / 0.05j)) < 1e-26
+    assert check_transformation("eq3.5eps", [0.05j]).passed
+    evaluate = thetanum.delta_epsilon_eval
+    monkeypatch.setattr(thetanum, "delta_epsilon_eval",
+                        lambda which, tau, n: (2 if which == "eps2" else 1) * evaluate(which, tau, n))
+    report = check_transformation("eq3.5eps", [0.05j])
+    assert not report.passed and report.residuals[0] > 0.99
+
+
+@pytest.mark.parametrize("tau", (complex(0.5, 0.5), complex(-0.5, 0.5)))
+def test_delta_law_holds_where_delta1_vanishes(tau):
+    # delta_1((+-1 + i)/2) = 0, so |rhs| is rounding noise; the nullwert 4th powers are not
+    assert abs(delta_epsilon_eval("delta1", tau)) < 1e-15
+    assert check_transformation("eq3.5delta", [tau]).max_residual < 1e-14
+
+
 def test_product_term_cap_matches_product_terms_needed():
     cap = thetanum.MAX_PRODUCT_TERMS
     below, above = (math.log(1e16) / (2 * math.pi * (n + 0.5)) for n in (cap - 1, cap))
     assert thetanum.product_terms_needed(complex(0, below)) == cap
     assert thetanum.product_terms_needed(complex(0, above)) == cap + 1
-    assert check_transformation("eq3.5delta", [complex(0, below)]).passed
+    # the jet law evaluates no product formula, so it runs up to the cap
+    assert check_transformation("eq3.11", [(0, [0.1], complex(0, below))]).passed
     with pytest.raises(ValueError, match="needs more than"):
         check_transformation("eq3.5delta", [complex(0, above)])
+    # there q^(1/8) at -1/tau is no normal double: eq3.1-eq3.5 refuse the sample
+    with pytest.raises(ValueError, match="outside the normal doubles"):
+        check_transformation("eq3.5delta", [complex(0, below)])
 
 
 def test_unknown_theta_kind_rejected():

@@ -35,10 +35,13 @@ degree) that ``modforms.identity_parameters`` assigns a fiber dimension:
 8m+1..8m+3 (b case) or 8m-3..8m-1 (z case) at degree 8m+4 or 8m.  At
 weight w = degree/4 the truncated Pontryagin ring is free in p_1..p_w once
 n_pairs >= w, and a zero root contributes nothing to a reduced character,
-the A-roof or the full-angle L class; so a stable fiber
-is computed on its class representative RootProfile(8m+2 or 8m-2, degree),
-and the dimension d enters only where it is mathematically present: the
-corollary constant beta and the half-angle L constant 2^ceil(d/2).
+the A-roof or the full-angle L class; so a stable fiber is computed on its
+class representative RootProfile(8m+2 or 8m-2, degree), and the dimension
+d enters only where it is mathematically present: the corollary constant
+beta and the half-angle L constant 2^ceil(d/2).  Memos keyed on that
+profile enforce it: ``identity_class`` holds the class's b_r/z_r solve,
+its h_r and the main identity's rhs, ``_decomposition`` its eq3.12/eq3.33
+comparison per order2, and ``p_form`` its series.
 Dimension 1 (n_pairs 0 < w 1) is unstable and keeps its own profile.
 """
 
@@ -258,6 +261,56 @@ def p_form(
 # -- symbolic verifications --------------------------------------------------
 
 
+class IdentityClass(FrozenRecord):
+    """What every report of one identity class reads, computed on its profile.
+
+    Case, m, degree, kind and identity ids; the b_r/z_r, their A-roof images
+    h_r = {A-roof ch(b_r)} and the main identity's rhs sum_r 2^(-6r) h_r.
+    """
+
+    _IDS = {"b": (P2, "eq3.12", "eq3.14"), "z": (Q2, "eq3.33", "eq3.35")}
+
+    def __init__(self, profile: RootProfile):
+        case, m, degree = identity_parameters(profile.fiber_dim)
+        kind, decomposition_id, main_id = self._IDS[case]
+        brs = decompose_theta2(m, profile)
+        ahat = a_hat(profile)
+        hs = tuple(ahat.mul_degree(br, degree) for br in brs)
+        rhs = sum((h * Fraction(1, 64**r) for r, h in enumerate(hs)), GradedClass.zero(profile))
+        self.__dict__.update(
+            profile=profile, case=case, m=m, degree=degree, kind=kind,
+            decomposition_id=decomposition_id, main_id=main_id, brs=brs, hs=hs, rhs=rhs,
+        )
+
+
+@lru_cache(maxsize=None)
+def identity_class(profile: RootProfile) -> IdentityClass:
+    """The record of the class computed on `profile`, built once per process."""
+    return IdentityClass(profile)
+
+
+@lru_cache(maxsize=None)
+def _decomposition(profile: RootProfile, order2: int) -> tuple:
+    """(hs, residuals, status) of eq3.12/eq3.33 at order2; each report serialises the classes."""
+    cls = identity_class(profile)
+    series = p_form(cls.kind, profile, ROUTE_THETA, L_FULL, order2)
+    try:
+        hs = tuple(basis_decompose(series, cls.degree // 2))
+    except SpanError as err:
+        return (), ({"exp2": err.exp2, "error": str(err)},), "fail"
+    # cross-check h_r against the bundle-level decomposition
+    residuals = []
+    for r in range(min(len(hs), len(cls.hs)), max(len(hs), len(cls.hs))):
+        missing = f"{cls.case}_{r}" if r >= len(cls.hs) else f"h_{r}"
+        residuals.append({"r": r, "error": f"{missing} is missing from the decomposition"})
+    for r, (h, expected) in enumerate(zip(hs, cls.hs)):
+        if h != expected:
+            residuals.append({"r": r, "error": "basis coefficient differs from A-roof ch(b_r)",
+                              "basis": h, "bundle": expected})
+    status = "fail" if residuals else "pass" if any(hs) else "degenerate-zero"
+    return hs, tuple(residuals), status
+
+
 def verify_decomposition_identity(fiber_dim: int, order2: int | None = None) -> IdentityReport:
     """Check P_2 (or Q_2) = sum_r {A-roof ch(b_r or z_r)} basis_r in full.
 
@@ -267,46 +320,13 @@ def verify_decomposition_identity(fiber_dim: int, order2: int | None = None) -> 
     coefficients must equal the A-roof images of the bundle decomposition,
     which reads the Witten Theta_2 only through q^(m/2).
     """
-    case, m, degree = identity_parameters(fiber_dim)
-    profile = _class_profile(fiber_dim)
-    if order2 is None:
-        order2 = default_theta_order2(m)
-    kind = P2 if case == "b" else Q2
-    identity = "eq3.12" if case == "b" else "eq3.33"
-    weight = degree // 2
-    series = p_form(kind, profile, ROUTE_THETA, L_FULL, order2)
-    residuals = []
-    status = "pass"
-    hs = []
-    try:
-        hs = basis_decompose(series, weight)
-    except SpanError as err:
-        status = "fail"
-        residuals.append({"exp2": err.exp2, "error": str(err)})
-    if status == "pass":
-        # cross-check h_r against the bundle-level decomposition
-        ahat = a_hat(profile)
-        brs = decompose_theta2(m, profile)
-        for r in range(min(len(hs), len(brs)), max(len(hs), len(brs))):
-            status = "fail"
-            missing = f"{case}_{r}" if r >= len(brs) else f"h_{r}"
-            residuals.append({"r": r, "error": f"{missing} is missing from the decomposition"})
-        for r, (h, br) in enumerate(zip(hs, brs)):
-            expected = ahat.mul_degree(br, degree)
-            if h != expected:
-                status = "fail"
-                residuals.append(
-                    {
-                        "r": r,
-                        "error": "basis coefficient differs from A-roof ch(b_r)",
-                        "basis": h.to_obj(),
-                        "bundle": expected.to_obj(),
-                    }
-                )
-    if status == "pass" and all(not h for h in hs):
-        status = "degenerate-zero"
+    cls = identity_class(_class_profile(fiber_dim))
+    order2 = default_theta_order2(cls.m) if order2 is None else order2
+    hs, residuals, status = _decomposition(cls.profile, order2)
+    residuals = [{key: v.to_obj() if isinstance(v, GradedClass) else v for key, v in res.items()}
+                 for res in residuals]
     return _exact_report(
-        identity, fiber_dim, m, None, ROUTE_THETA, residuals, status,
+        cls.decomposition_id, fiber_dim, cls.m, None, ROUTE_THETA, residuals, status,
         [h.to_obj() for h in hs],
     )
 
@@ -318,18 +338,10 @@ def main_identity_sides(fiber_dim: int, l_variant: str = L_FULL):
     identity claims lhs = lambda * rhs with lambda = 8*2^(6m) or 2^(6m).
     Both sides live over the class profile.
     """
-    case, m, degree = identity_parameters(fiber_dim)
-    profile = _class_profile(fiber_dim)
-    brs = decompose_theta2(m, profile)
-    ahat = a_hat(profile)
+    cls = identity_class(_class_profile(fiber_dim))
     l_variant = normalize_l_variant(l_variant)
-    lhs = l_class(profile, l_variant).degree_component(degree)
-    lhs = lhs * _half_angle_scale(fiber_dim, profile, l_variant)
-    rhs = GradedClass.zero(profile)
-    for r, br in enumerate(brs):
-        h = ahat.mul_degree(br, degree)
-        rhs = rhs + h * Fraction(1, 64**r)
-    return lhs, rhs
+    lhs = l_class(cls.profile, l_variant).degree_component(cls.degree)
+    return lhs * _half_angle_scale(fiber_dim, cls.profile, l_variant), cls.rhs
 
 
 def verify_main_identity(fiber_dim: int, l_variant: str = L_FULL) -> IdentityReport:
@@ -338,11 +350,9 @@ def verify_main_identity(fiber_dim: int, l_variant: str = L_FULL) -> IdentityRep
     All p-monomials must give one and the same scalar; the report carries
     lambda and its ratio to the expected constant (8*2^(6m) or 2^(6m)).
     """
-    case, m, degree = identity_parameters(fiber_dim)
+    cls = identity_class(_class_profile(fiber_dim))
     l_variant = normalize_l_variant(l_variant)
-    identity = "eq3.14" if case == "b" else "eq3.35"
     lhs, rhs = main_identity_sides(fiber_dim, l_variant)
-    expected_constant = Fraction(CASE_CONSTANTS[case] * 2 ** (6 * m))
     monomials = sorted(
         {mon for mon, _ in lhs.items()} | {mon for mon, _ in rhs.items()}
     )
@@ -364,17 +374,9 @@ def verify_main_identity(fiber_dim: int, l_variant: str = L_FULL) -> IdentityRep
     if not monomials:
         status = "degenerate-zero"
     return IdentityReport(
-        identity=identity,
-        fiber_dim=fiber_dim,
-        m=m,
-        l_variant=l_variant,
-        route=ROUTE_KTHEORY,
-        lambda_measured=lam,
-        paper_ratio=None if lam is None else lam / expected_constant,
-        residuals=residuals,
-        status=status,
-        lhs=lhs.to_obj(),
-        rhs=rhs.to_obj(),
+        cls.main_id, fiber_dim, cls.m, l_variant, ROUTE_KTHEORY, lam,
+        None if lam is None else lam / (CASE_CONSTANTS[cls.case] * 2 ** (6 * cls.m)),
+        residuals, status, lhs.to_obj(), rhs.to_obj(),
     )
 
 
@@ -432,15 +434,12 @@ def corollary_coefficients(fiber_dim: int) -> CorollaryVector:
     """
     if fiber_dim not in COROLLARY_DIMENSIONS:
         raise ValueError(f"no corollary is stated for fiber dimension {fiber_dim}")
-    case, m, _ = identity_parameters(fiber_dim)
-    profile = _class_profile(fiber_dim)
-    brs = decompose_theta2(m, profile)
-    overall = CASE_CONSTANTS[case]
-    combo = GradedClass.zero(profile)
-    for r, br in enumerate(brs):
-        combo = combo + br * (overall * 2 ** (6 * m - 6 * r))
+    cls = identity_class(_class_profile(fiber_dim))
+    combo = GradedClass.zero(cls.profile)
+    for r, br in enumerate(cls.brs):
+        combo = combo + br * (CASE_CONSTANTS[cls.case] * 2 ** (6 * cls.m - 6 * r))
     form = combo.positive_part()
-    tc_form = chern_character(profile).positive_part()
+    tc_form = chern_character(cls.profile).positive_part()
     alpha = Fraction(0)
     if tc_form:
         ratios = set()

@@ -6,13 +6,13 @@ envelope; verification suites exit 0 only when every check passes
 and 1 when one fails.  Exit code 2 flags usage errors and unreadable or
 unwritable files, 3 an internal fault (an exact computation raised
 ArithmeticError, TruncationError or SpanError; its traceback goes to
-stderr).  Checks run serially in one process and share its memoised theta
-bundles, modular bases, genera and characteristic series, so each exact
-artifact is built once per identity class and run.  Every exact check of a
-class reads its series at one truncation: --q-order, else the class order
-2m+5.  A verify option that none of the requested suites reads, as a flag
-or a config key, is a usage error.  So is a report file whose entries do
-not score or render as results.
+stderr).  Checks run serially in one process and share its memos (bundles,
+bases, genera, series and each class's ``anomaly.identity_class`` record),
+so each exact artifact is built once per identity class and run.  Every
+exact check of a class reads its series at one truncation: --q-order, else
+the class order 2m+5.  A verify option that none of the requested suites
+reads, as a flag or a config key, is a usage error.  So is a report file
+whose entries do not score or render as results.
 
 q-orders on the command line are in doubled exponent units (the exp2 of
 q^(exp2/2)) and are exclusive bounds, matching the series representation.

@@ -240,17 +240,16 @@ def decomposition_case(m: int, fiber_dim: int) -> str:
     return case
 
 
-@lru_cache(maxsize=None)
 def decompose_theta2(m: int, profile: RootProfile) -> tuple:
     """Solve Theta_2 = sum_r x_r (8 delta_2)^(e-2r) eps_2^r mod q^((m+1)/2).
 
     Returns the virtual characters x_0..x_m as GradedClass values (constant
     term = virtual rank): b_0..b_m (e = 2m+1) or z_0..z_m (e = 2m) depending
-    on the fiber-dimension class.  Only q^0..q^(m/2) of Theta_2 enter, so the
-    result is solved once per (m, profile) from a bundle of order2 m+1.  The
-    matched-window residual must vanish identically and the solve's
-    combination matrix must be integral (so are the x_r); either failure
-    raises ArithmeticError.
+    on the fiber-dimension class.  Only q^0..q^(m/2) of Theta_2 enter, so it
+    is solved from a bundle of order2 m+1.  Not memoised: the class record
+    of ``anomaly.identity_class`` holds each class's solve.  The matched-window
+    residual must vanish identically and the solve's combination matrix must
+    be integral (so are the x_r); either failure raises ArithmeticError.
     """
     decomposition_case(m, profile.fiber_dim)  # raises unless the class has this m
     f = theta_bundle(THETA2, profile, m + 1).series

@@ -13,11 +13,12 @@ _MEMOS = (
     witten.theta_bundle,
     modforms._modular_basis,
     modforms._combination_matrix,
-    modforms.decompose_theta2,
     genera._bernoulli,
     genera.a_hat,
     genera.l_class,
     anomaly.p_form,
+    anomaly.identity_class,
+    anomaly._decomposition,
     SimpleNamespace(cache_clear=thetanum._PAIR_LOG_MEMO.clear),
 )
 

@@ -105,7 +105,7 @@ def test_decomposition_identity_large_m(dim):
 
 
 @pytest.mark.parametrize("dim", (10, 13))
-def test_dropped_last_term_fails_both_identities(dim, monkeypatch):
+def test_dropped_last_term_fails_both_identities(dim, clear_memos, monkeypatch):
     # negative control: a bundle decomposition one term short
     case, m, _ = identity_parameters(dim)
     original = anomaly.decompose_theta2

@@ -83,7 +83,7 @@ def test_reports_equal_own_profile_reports(l_variant, monkeypatch):
     assert [check(d).to_obj() for d in dims for check in checks] == keyed
 
 
-def test_half_angle_route_residual_is_scaled_to_the_fiber(monkeypatch):
+def test_half_angle_route_residual_is_scaled_to_the_fiber(clear_memos, monkeypatch):
     # a failing half-angle comparison reports d's own coefficients, not the
     # representative's: perturb the theta route and compare both keyings
     original = anomaly.p_form.__wrapped__

@@ -195,6 +195,32 @@ def test_verify_all_passes(capsys):
     assert len(entries) > 30
 
 
+def _reads_q_order(entry) -> bool:
+    identity = entry.get("identity", "")
+    return identity in ("eq3.12", "eq3.33") or identity.startswith("routes-")
+
+
+def test_verify_all_at_a_q_order(clear_memos, capsys):
+    # the class memos hold one decomposition per q-order: --q-order moves
+    # the eq3.12/eq3.33 and route checks only, each to its own suite's report
+    code, out, _ = run(capsys, "verify", "all", "--allow-degenerate", "--q-order", "9")
+    assert code == 0
+    raised = results_of(out)
+    code, out, _ = run(capsys, "verify", "all", "--allow-degenerate")
+    assert code == 0
+    default = results_of(out)
+    unmoved = [entry for entry in raised if not _reads_q_order(entry)]
+    assert unmoved == [entry for entry in default if not _reads_q_order(entry)]
+    assert len(unmoved) == 15 + 3 + 9 + 7  # main, agw, corollaries, numeric
+    moved = [entry for entry in raised if _reads_q_order(entry)]
+    assert len(moved) == 15 + 8
+    for entry in moved:
+        suite = "routes" if entry["identity"].startswith("routes-") else "decomposition"
+        dim = str(entry["fiber_dim"])
+        _, out, _ = run(capsys, "verify", suite, "--dim", dim, "--q-order", "9")
+        assert results_of(out) == [entry]
+
+
 def test_determinism_byte_identical(capsys):
     _, first, _ = run(capsys, "verify", "main", "--dim", "6")
     _, second, _ = run(capsys, "verify", "main", "--dim", "6")

@@ -1,12 +1,14 @@
 """In-process memos: fresh-build values, bounded builds and solves, no caller mutates them."""
 
+import json
 from collections import Counter
 
 import pytest
 
 from anomform import anomaly, cli, genera, modforms, witten
-from anomform.anomaly import identity_profile, verify_route_equivalence
+from anomform.anomaly import ROUTE_KTHEORY, ROUTE_THETA, identity_profile, verify_route_equivalence
 from anomform.genera import AHAT, L_FULL, L_HALF, genus_pair_log
+from anomform.qseries import HalfQSeries
 from anomform.witten import THETA1, THETA2, build_theta_bundle, theta_bundle
 
 
@@ -43,12 +45,80 @@ def test_verify_all_builds_each_bundle_once(clear_memos, monkeypatch, tmp_path):
     assert builds and set(builds.values()) == {1}
 
 
-def test_verify_all_solves_each_decomposition_once(clear_memos, tmp_path):
+def count_calls(monkeypatch, counts: Counter, module, name: str) -> None:
+    """Count the calls made through `module`.`name` from now on."""
+    original = getattr(module, name)
+
+    def counted(*args):
+        counts[name] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_verify_all_solves_each_decomposition_once(clear_memos, monkeypatch, tmp_path):
+    counts = Counter()
+    count_calls(monkeypatch, counts, anomaly, "decompose_theta2")
+    count_calls(monkeypatch, counts, anomaly, "basis_decompose")
+    count_calls(monkeypatch, counts, modforms, "_solve")
+    count_calls(monkeypatch, counts, witten, "build_theta_bundle")
     argv = ["verify", "all", "--allow-degenerate", "--out", str(tmp_path / "report.json")]
     assert cli.main(argv) == 0
-    # decomposition, main and corollary checks share one solve per identity
-    # class: dim 1, b at m = 0, 1, 2 and z at m = 1, 2
-    assert modforms.decompose_theta2.cache_info().misses == 6
+    # one Theta_2 solve and one eq3.12/eq3.33 decomposition per identity
+    # class (dim 1, b at m = 0, 1, 2 and z at m = 1, 2), read by its 15
+    # decomposition, main and corollary checks; each solve is one _solve
+    assert counts == {
+        "decompose_theta2": 6, "basis_decompose": 6, "_solve": 12, "build_theta_bundle": 6,
+    }
+    counts.clear()
+    assert cli.main(argv) == 0  # the second run finds every class in the memos
+    assert counts == {}
+
+
+def _empty_every_container(obj) -> None:
+    """Empty every list and dict reachable from obj."""
+    for value in obj.values() if isinstance(obj, dict) else obj:
+        if isinstance(value, (list, dict)):
+            _empty_every_container(value)
+    obj.clear()
+
+
+def test_a_mutated_report_changes_no_later_report(clear_memos, monkeypatch):
+    # the last b_r off by one, so the eq3.12 residuals carry serialised classes
+    original = anomaly.decompose_theta2
+
+    def shifted(*args):
+        xs = original(*args)
+        return xs[:-1] + (xs[-1] + 1,)
+
+    monkeypatch.setattr(anomaly, "decompose_theta2", shifted)
+    checks = (anomaly.verify_decomposition_identity, anomaly.verify_main_identity)
+    dims = (9, 10, 11)
+    first = [check(dim) for dim in dims for check in checks]
+    expected = json.loads(json.dumps([report.to_obj() for report in first]))
+    assert first[0].residuals[0]["basis"] and first[0].lhs and first[1].rhs
+    for report in first:
+        for field in (report.residuals, report.lhs, report.rhs):
+            _empty_every_container(field)
+    assert [check(dim).to_obj() for dim in dims for check in checks] == expected
+
+
+def test_decomposition_memo_keys_on_the_q_order(clear_memos, monkeypatch):
+    # the theta-route P_2 poisoned at exp2 8: past dim 10's class order 7,
+    # inside the q-order 9
+    original = anomaly.p_form
+
+    def poisoned(kind, profile, route=ROUTE_KTHEORY, l_variant=L_FULL, order2=None):
+        series = original(kind, profile, route, l_variant, order2)
+        if route != ROUTE_THETA or series.order2 <= 8:
+            return series
+        return series + HalfQSeries(series.ring, {8: series.coefficient(0)}, series.order2)
+
+    monkeypatch.setattr(anomaly, "p_form", poisoned)
+    assert anomaly.verify_decomposition_identity(10).status == "pass"
+    raised = anomaly.verify_decomposition_identity(11, order2=9)
+    assert (raised.status, [r["exp2"] for r in raised.residuals]) == ("fail", [8])
+    assert anomaly.verify_decomposition_identity(9).status == "pass"
 
 
 def test_verify_all_builds_each_matrix_and_bernoulli_number_once(clear_memos, tmp_path):
@@ -59,8 +129,8 @@ def test_verify_all_builds_each_matrix_and_bernoulli_number_once(clear_memos, tm
         counts.append((modforms._combination_matrix.cache_info(), genera._bernoulli.cache_info()))
     (matrices, bernoulli), (matrices_again, bernoulli_again) = counts
     # one combination matrix per decomposition weight, b: 4m+2 = 2, 6, 10 and
-    # z: 4m = 4, 8, read by the 15 decomposition checks and the 6 solves
-    assert (matrices.misses, matrices.currsize, matrices.hits) == (5, 5, 16)
+    # z: 4m = 4, 8, read by the 6 class decompositions and the 6 solves
+    assert (matrices.misses, matrices.currsize, matrices.hits) == (5, 5, 7)
     # B_0..B_10, for the largest identity weight 5, each computed once
     assert (bernoulli.misses, bernoulli.currsize) == (11, 11)
     assert (matrices_again.misses, bernoulli_again.misses) == (5, 11)

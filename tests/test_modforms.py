@@ -35,27 +35,19 @@ from dense_series import delta_epsilon_product, nullwert_product, theta1_fourth_
 ORDER = 24  # through q^11 for the oracles below
 
 
-# -- Jacobi sum-formula oracles (independent of the product expansions) --------
+# -- sum-formula oracles (independent of the library's sums and products) -------
 
 
-def sum_oracle_theta3(order2):
-    """theta_3(0) = sum over all integers of q^(n^2 / 2)."""
-    coeffs = {}
-    n = 0
-    while n * n < order2:
-        coeffs[n * n] = coeffs.get(n * n, 0) + (1 if n == 0 else 2)
-        n += 1
-    return HalfQSeries.from_terms(QQ, coeffs.items(), order2)
+def two_squares_oracle(sign, order2):
+    """1 + 4 sum_n sign^n (d_1(n) - d_3(n)) q^(n/2), d_i(n) the divisors of n that are i mod 4.
 
-
-def sum_oracle_theta2(order2):
-    """theta_2(0) = sum over all integers of (-1)^n q^(n^2 / 2)."""
-    coeffs = {}
-    n = 0
-    while n * n < order2:
-        sign = -1 if n % 2 else 1
-        coeffs[n * n] = coeffs.get(n * n, 0) + (sign if n == 0 else 2 * sign)
-        n += 1
+    Jacobi's two-squares theorem: 4 (d_1(n) - d_3(n)) is the number of ways
+    to write n = a^2 + b^2, so this is theta_3(0)^2 at sign 1 and, as
+    (-1)^(a+b) = (-1)^n, theta_2(0)^2 at sign -1.
+    """
+    coeffs = {0: 1}
+    for n in range(1, order2):
+        coeffs[n] = 4 * sign**n * sum((-1) ** (d // 2) for d in range(1, n + 1, 2) if n % d == 0)
     return HalfQSeries.from_terms(QQ, coeffs.items(), order2)
 
 
@@ -72,11 +64,20 @@ def sum_oracle_theta1_fourth(order2):
 
 
 def test_theta2_matches_sum_formula():
-    assert theta_nullwert(2, ORDER) == sum_oracle_theta2(ORDER)
+    for order2 in (ORDER, 60):
+        assert theta_nullwert(2, order2) ** 2 == two_squares_oracle(-1, order2)
 
 
 def test_theta3_matches_sum_formula():
-    assert theta_nullwert(3, ORDER) == sum_oracle_theta3(ORDER)
+    for order2 in (ORDER, 60):
+        assert theta_nullwert(3, order2) ** 2 == two_squares_oracle(1, order2)
+
+
+def test_two_squares_oracle_tells_theta2_from_theta3():
+    # r_2(1) = 4: the sign of q^(1/2) alone separates them
+    assert two_squares_oracle(1, 2).coefficient(1) == 4
+    assert two_squares_oracle(-1, 2).coefficient(1) == -4
+    assert theta_nullwert(2, ORDER) ** 2 != two_squares_oracle(1, ORDER)
 
 
 def test_theta1_fourth_matches_sum_formula():

@@ -1,4 +1,4 @@
-"""The library's six record classes: construction, equality, hashing, immutability.
+"""The library's seven record classes: construction, equality, hashing, immutability.
 
 RootProfile keys every memo, so its equality, hash and repr are pinned
 exactly; the other records compare field by field, and only with their own
@@ -10,7 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from anomform.anomaly import CorollaryVector, IdentityReport, corollary_coefficients
+from anomform.anomaly import (
+    CorollaryVector,
+    IdentityClass,
+    IdentityReport,
+    _class_profile,
+    corollary_coefficients,
+    identity_class,
+)
 from anomform.chroot import GradedClass, GradedRing, RootProfile
 from anomform.cli import RunConfig
 from anomform.qseries import HalfQSeries
@@ -65,6 +72,21 @@ def test_theta_bundle_series_compares_field_by_field():
         bundle.kind = THETA1
     with pytest.raises(AttributeError):
         del bundle.series
+
+
+def test_identity_class_is_shared_compares_field_by_field_and_is_immutable():
+    profile = _class_profile(11)
+    record = identity_class(profile)
+    assert record is identity_class(_class_profile(9))  # one record per class
+    assert record == IdentityClass(profile)
+    assert (record.case, record.m, record.degree, record.kind) == ("b", 1, 12, "P2")
+    assert (record.decomposition_id, record.main_id) == ("eq3.12", "eq3.14")
+    assert len(record.brs) == len(record.hs) == 2 and isinstance(record.hs, tuple)
+    assert record != IdentityClass(_class_profile(13))
+    with pytest.raises(AttributeError):
+        record.hs = ()
+    with pytest.raises(AttributeError):
+        del record.rhs
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from anomform import thetanum
+from anomform.cli import _numeric_default_samples
 from anomform.modforms import delta_epsilon, theta_nullwert
 from anomform.thetanum import (
     check_transformation,
@@ -89,6 +90,35 @@ def test_theta_transformation_laws(law):
     report = check_transformation(law, sample_points(), tol=1e-9)
     assert report.passed, report.max_residual
     assert len(report.residuals) == 40  # both the T-law and the S-law per point
+
+
+# each theta law with every kind but its own S-transformation partner
+WRONG_S_PARTNERS = [
+    (law, wrong)
+    for law, kind in thetanum._LAW_KIND.items()
+    for wrong in ("theta", "theta1", "theta2", "theta3")
+    if wrong != thetanum._S_PARTNER[kind]
+]
+
+
+@pytest.mark.parametrize("law", ["eq3.1", "eq3.2", "eq3.3", "eq3.4"])
+def test_flipped_t_phase_fails_every_t_residual(monkeypatch, law):
+    # negative control: the e^(i pi/4) of tau -> tau + 1 dropped where the
+    # law has it and added where it has not
+    kind = thetanum._LAW_KIND[law]
+    monkeypatch.setitem(thetanum._T_PHASE, kind, not thetanum._T_PHASE[kind])
+    residuals = check_transformation(law, _numeric_default_samples(law)).residuals
+    assert min(residuals[0::2]) > 0.5  # |1 - e^(i pi/4)| = 0.765
+    assert max(residuals[1::2]) < 1e-12  # the S-law is untouched
+
+
+@pytest.mark.parametrize("law, wrong", WRONG_S_PARTNERS)
+def test_wrong_s_partner_fails_every_s_residual(monkeypatch, law, wrong):
+    # negative control: tau -> -1/tau lands on another theta function
+    monkeypatch.setitem(thetanum._S_PARTNER, thetanum._LAW_KIND[law], wrong)
+    residuals = check_transformation(law, _numeric_default_samples(law)).residuals
+    assert min(residuals[1::2]) > 1e-3
+    assert max(residuals[0::2]) < 1e-12  # the T-law is untouched
 
 
 def test_first_law_s_move_at_fixed_point_sample():

@@ -25,10 +25,12 @@ factors against them.
 
 eq3.12/eq3.33 decompose the theta-route series at the class order and
 compare its basis coefficients with the b_r/z_r that ``decompose_theta2``
-solves from the Witten Theta_2 through q^(m/2): that ties the two routes
-together, and only ``verify_route_equivalence`` builds the K-theory series
-at the full order.  Past the matched window the coefficients test the code,
-not the theorem (Sturm's bound).
+solves from the Witten Theta_2 through q^(m/2).  That Theta_2 is one
+product over root pairs of the summed Adams-operation factor logs
+(``witten.summed_theta2``), so the tie still sets the Adams sums against
+the divisor sums.  Only ``verify_route_equivalence`` builds the K-theory
+series, factor by factor, at the full order.  Past the matched window the
+coefficients test the code, not the theorem (Sturm's bound).
 
 Every exact artifact is computed once per identity class, the (case, m,
 degree) that ``modforms.identity_parameters`` assigns a fiber dimension:
@@ -41,7 +43,8 @@ d enters only where it is mathematically present: the corollary constant
 beta and the half-angle L constant 2^ceil(d/2).  Memos keyed on that
 profile enforce it: ``identity_class`` holds the class's b_r/z_r solve,
 its h_r and the main identity's rhs, ``_decomposition`` its eq3.12/eq3.33
-comparison per order2, and ``p_form`` its series.
+comparison per order2, ``_corollary_class`` its corollary alpha and
+constant, and ``p_form`` its series.
 Dimension 1 (n_pairs 0 < w 1) is unstable and keeps its own profile.
 """
 
@@ -434,12 +437,20 @@ def corollary_coefficients(fiber_dim: int) -> CorollaryVector:
     """
     if fiber_dim not in COROLLARY_DIMENSIONS:
         raise ValueError(f"no corollary is stated for fiber dimension {fiber_dim}")
-    cls = identity_class(_class_profile(fiber_dim))
-    combo = GradedClass.zero(cls.profile)
+    alpha, constant = _corollary_class(_class_profile(fiber_dim))
+    beta = constant - alpha * fiber_dim
+    return CorollaryVector(fiber_dim, (Fraction(1), -alpha, -beta))
+
+
+@lru_cache(maxsize=None)
+def _corollary_class(profile: RootProfile) -> tuple:
+    """(alpha, constant term) of the class combination; only beta reads the dimension."""
+    cls = identity_class(profile)
+    combo = GradedClass.zero(profile)
     for r, br in enumerate(cls.brs):
         combo = combo + br * (CASE_CONSTANTS[cls.case] * 2 ** (6 * cls.m - 6 * r))
     form = combo.positive_part()
-    tc_form = chern_character(cls.profile).positive_part()
+    tc_form = chern_character(profile).positive_part()
     alpha = Fraction(0)
     if tc_form:
         ratios = set()
@@ -454,8 +465,7 @@ def corollary_coefficients(fiber_dim: int) -> CorollaryVector:
             raise ArithmeticError("combination has extra form content")
     elif form:
         raise ArithmeticError("combination has form content on a formless fiber")
-    beta = combo.constant_term() - alpha * fiber_dim
-    return CorollaryVector(fiber_dim, (Fraction(1), -alpha, -beta))
+    return alpha, combo.constant_term()
 
 
 def verify_route_equivalence(

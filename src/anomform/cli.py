@@ -295,9 +295,6 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> tuple:
             decomposition_case(args.m, args.dim)
         except ValueError as err:
             raise UsageError(str(err))
-    # tasks run in the order added: the route checks first, as they read the
-    # bundles at the class order (or --q-order); the later checks read Theta_2
-    # only through q^(m/2) and truncate it, so each bundle is built once
     if suite in ("routes", "all"):
         kind = args.kind
         for dim in dims or (2, 3, 9, 10, 11, 5, 6, 7):

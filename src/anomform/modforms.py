@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from .chroot import RootProfile
 from .qseries import QQ, HalfQSeries, TruncationError
-from .witten import THETA2, theta_bundle
+from .witten import summed_theta2
 
 GAMMA0_LOWER = "Gamma_0(2)"
 GAMMA0_UPPER = "Gamma^0(2)"
@@ -245,14 +245,19 @@ def decompose_theta2(m: int, profile: RootProfile) -> tuple:
 
     Returns the virtual characters x_0..x_m as GradedClass values (constant
     term = virtual rank): b_0..b_m (e = 2m+1) or z_0..z_m (e = 2m) depending
-    on the fiber-dimension class.  Only q^0..q^(m/2) of Theta_2 enter, so it
-    is solved from a bundle of order2 m+1.  Not memoised: the class record
-    of ``anomaly.identity_class`` holds each class's solve.  The matched-window
-    residual must vanish identically and the solve's combination matrix must
-    be integral (so are the x_r); either failure raises ArithmeticError.
+    on the fiber-dimension class.  Only q^0..q^(m/2) of Theta_2 enter, read
+    from ``witten.summed_theta2`` at order2 m+1: one product over root pairs
+    of the summed Adams-operation factor logs.  The K-theory route keeps the
+    factor-by-factor bundle, so the route check still compares a product of
+    exponentials with the theta route's one exponential, and eq3.12/eq3.33
+    set these Adams sums against its Eisenstein divisor sums.  Not memoised:
+    the class record of ``anomaly.identity_class`` holds each class's solve.
+    The matched-window residual must vanish identically and the solve's
+    combination matrix must be integral (so are the x_r); either failure
+    raises ArithmeticError.
     """
     decomposition_case(m, profile.fiber_dim)  # raises unless the class has this m
-    f = theta_bundle(THETA2, profile, m + 1).series
+    f = summed_theta2(profile, m + 1).series
     xs, exp2 = _solve(f, identity_parameters(profile.fiber_dim)[2] // 2)
     if exp2 is not None:
         raise ArithmeticError("matched window residual")

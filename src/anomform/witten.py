@@ -22,9 +22,16 @@ and the pair log in u = x^2
     S_t:       L_n(t) = 2/(2n)! * sum_k k^(2n-1) t^k
 
 at t = +-q^(e/2): a zero root contributes nothing, and no exterior power
-is formed and no series inverted.  `theta_bundle` is the memoised entry
-point every caller uses: one build per (kind, profile) and process,
-truncated for smaller requests; `build_theta_bundle` always builds.
+is formed and no series inverted.  ``_factor_logs`` writes these logs once.
+
+Two builders read them.  ``build_theta_bundle`` multiplies the factors one
+by one; it serves the K-theory route (``anomaly.p_form``, ``verify routes``
+and ``expand theta-bundle``) through `theta_bundle`, its memo: one build
+per (kind, profile) and process, truncated for smaller requests.  That
+route keeps its product of exponentials, which the route check sets against
+the theta route's exponential of one summed log.  ``summed_theta2`` adds
+the factor logs and exponentiates once; it serves the b_r/z_r solve
+(``modforms.decompose_theta2``), which reads Theta_2 only through q^(m/2).
 """
 
 from __future__ import annotations
@@ -48,13 +55,13 @@ def chern_character(profile: RootProfile) -> GradedClass:
     return sum_over_roots([Fraction(1, factorial(i)) for i in range(n)], profile)
 
 
-def _reduced_factor(
-    adams_sign: int, profile: RootProfile, t_sign: int, t_exp2: int, order2: int
-) -> HalfQSeries:
-    """exp(sum_k adams_sign^(k-1) ch psi^k(T_C Z - dim) t^k / k), t = t_sign q^(t_exp2/2).
+def _factor_logs(
+    adams_sign: int, t_sign: int, t_exp2: int, order2: int, max_weight: int
+) -> list:
+    """Pair logs L_1..L_w of exp(sum_k adams_sign^(k-1) ch psi^k(T_C Z - dim) t^k / k).
 
-    adams_sign = -1 gives Lambda_t and +1 gives S_t, through the pair log of
-    the module doc.
+    t = t_sign q^(t_exp2/2); adams_sign = -1 gives Lambda_t and +1 gives S_t,
+    through the pair log of the module doc.
     """
     if t_exp2 <= 0:
         raise ValueError("t must carry a positive power of q")
@@ -63,10 +70,18 @@ def _reduced_factor(
     # t^k carries the sign t_sign^k, and Lambda_t's Adams sign (-1)^(k-1) besides
     signs = {k: adams_sign ** (k - 1) * t_sign**k for k in range(1, (order2 - 1) // t_exp2 + 1)}
     logs = []
-    for n in range(1, profile.max_weight + 1):
+    for n in range(1, max_weight + 1):
         scale = Fraction(2, factorial(2 * n))
         terms = {k * t_exp2: scale * s * k ** (2 * n - 1) for k, s in signs.items()}
         logs.append(HalfQSeries(QQ, terms, order2))
+    return logs
+
+
+def _reduced_factor(
+    adams_sign: int, profile: RootProfile, t_sign: int, t_exp2: int, order2: int
+) -> HalfQSeries:
+    """The factor of ``_factor_logs`` as one product over root pairs."""
+    logs = _factor_logs(adams_sign, t_sign, t_exp2, order2, profile.max_weight)
     return product_over_root_pairs(HalfQSeries.one(QQ, order2), logs, profile)
 
 
@@ -126,6 +141,26 @@ def build_theta_bundle(kind: str, profile: RootProfile, order2: int) -> ThetaBun
         for exp2 in range(1, order2, 2):
             series = series * lambda_t_character(profile, -1, exp2, order2)
     return ThetaBundleSeries(kind, profile, series)
+
+
+def summed_theta2(profile: RootProfile, order2: int) -> ThetaBundleSeries:
+    """Theta_2 as one product over root pairs of its factors' summed pair logs.
+
+    Each factor is exp(sum_n L_n S_n) with S_n the power sums of the u_j
+    (Macdonald, *Symmetric Functions*, I.2), so the product of the factors is
+    the exponential of the summed L_n: one partition sum, where
+    ``build_theta_bundle`` makes one per factor and a series product besides.
+    The sum adds the same Adams-operation logs (``_factor_logs``), and the
+    series equals build_theta_bundle(THETA2, profile, order2).series.
+    """
+    factors = [(1, 1, exp2) for exp2 in range(2, order2, 2)]  # S_(q^n)
+    factors += [(-1, -1, exp2) for exp2 in range(1, order2, 2)]  # Lambda_(-q^(n-1/2))
+    logs = [HalfQSeries.zero(QQ, order2)] * profile.max_weight
+    for adams_sign, t_sign, t_exp2 in factors:
+        factor = _factor_logs(adams_sign, t_sign, t_exp2, order2, profile.max_weight)
+        logs = [total + log for total, log in zip(logs, factor)]
+    series = product_over_root_pairs(HalfQSeries.one(QQ, order2), logs, profile)
+    return ThetaBundleSeries(THETA2, profile, series)
 
 
 _THETA_MEMO: dict = {}

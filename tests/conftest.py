@@ -19,6 +19,7 @@ _MEMOS = (
     anomaly.p_form,
     anomaly.identity_class,
     anomaly._decomposition,
+    anomaly._corollary_class,
     SimpleNamespace(cache_clear=thetanum._PAIR_LOG_MEMO.clear),
 )
 

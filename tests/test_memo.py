@@ -66,13 +66,47 @@ def test_verify_all_solves_each_decomposition_once(clear_memos, monkeypatch, tmp
     assert cli.main(argv) == 0
     # one Theta_2 solve and one eq3.12/eq3.33 decomposition per identity
     # class (dim 1, b at m = 0, 1, 2 and z at m = 1, 2), read by its 15
-    # decomposition, main and corollary checks; each solve is one _solve
+    # decomposition, main and corollary checks; each solve is one _solve.
+    # The solves read the summed Theta_2: only the K-theory route of the
+    # classes b m=0, z m=1 and b m=1 builds a bundle
     assert counts == {
-        "decompose_theta2": 6, "basis_decompose": 6, "_solve": 12, "build_theta_bundle": 6,
+        "decompose_theta2": 6, "basis_decompose": 6, "_solve": 12, "build_theta_bundle": 3,
     }
     counts.clear()
     assert cli.main(argv) == 0  # the second run finds every class in the memos
     assert counts == {}
+
+
+def test_main_then_routes_builds_theta2_once(clear_memos, monkeypatch):
+    orders = []
+    original = witten.build_theta_bundle
+
+    def recorded(kind, profile, order2):
+        orders.append((kind, order2))
+        return original(kind, profile, order2)
+
+    monkeypatch.setattr(witten, "build_theta_bundle", recorded)
+    assert anomaly.verify_main_identity(10).status == "pass"
+    assert verify_route_equivalence(10).status == "pass"
+    # the solve reads the summed Theta_2; the K-theory route builds at 2m+5
+    assert orders == [(THETA2, 7)]
+
+
+def test_decompose_theta2_builds_no_bundle(clear_memos, monkeypatch):
+    counts = Counter()
+    count_calls(monkeypatch, counts, witten, "build_theta_bundle")
+    count_calls(monkeypatch, counts, witten, "theta_bundle")
+    for dim in (1, 2, 6, 10, 25):
+        modforms.decompose_theta2(modforms.identity_parameters(dim)[1], anomaly._class_profile(dim))
+    assert counts == {}
+
+
+def test_verify_all_computes_each_corollary_class_once(clear_memos, tmp_path):
+    argv = ["verify", "all", "--allow-degenerate", "--out", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 0
+    # 9 corollary dimensions over 4 classes: dim 1, b at m = 0 and 1, z at m = 1
+    info = anomaly._corollary_class.cache_info()
+    assert (info.misses, info.hits) == (4, 5)
 
 
 def _empty_every_container(obj) -> None:

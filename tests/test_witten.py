@@ -4,16 +4,26 @@ Bundle coefficients are GradedClass values whose constant term is the
 integer virtual rank; labels are attached only by the CLI.  The library
 builds each factor from Adams-operation pair logs; Newton's identities
 (``dense_series.elementary_from_power_sums``) are the oracle for its
-exterior powers."""
+exterior powers, and the factor-by-factor Theta_2 is the oracle for the
+one built from the summed logs."""
 
 from fractions import Fraction
 
 import pytest
 
-from anomform import witten
-from anomform.anomaly import P1, P2, Q1, Q2, verify_route_equivalence
+from anomform import anomaly, witten
+from anomform.anomaly import (
+    P1,
+    P2,
+    Q1,
+    Q2,
+    verify_decomposition_identity,
+    verify_main_identity,
+    verify_route_equivalence,
+)
 from anomform.chroot import GradedClass, GradedRing, RootProfile, sum_over_roots
 from anomform.genera import L_FULL, L_HALF
+from anomform.modforms import identity_parameters
 from anomform.qseries import QQ, HalfQSeries, TruncationError
 from anomform.witten import (
     THETA1,
@@ -23,6 +33,7 @@ from anomform.witten import (
     chern_character,
     lambda_t_character,
     s_t_character,
+    summed_theta2,
 )
 from dense_series import elementary_from_power_sums, exp_poly
 
@@ -187,3 +198,42 @@ def test_theta_bundle_requires_trivial_leading_line():
     bad = HalfQSeries.from_terms(ring, [(0, GradedClass.zero(profile))], 4)
     with pytest.raises(ValueError, match="trivial line"):
         ThetaBundleSeries(THETA2, profile, bad)
+
+
+SUMMED_CASES = [
+    (profile, m + extra)
+    for profile, m in sorted(
+        {(anomaly._class_profile(d), identity_parameters(d)[1]) for d in range(1, 34) if d % 4},
+        key=lambda case: case[0].fiber_dim,
+    )
+    for extra in (1, 3)
+] + [
+    (RootProfile(*shape), order2)  # unstable: fewer root pairs than the top weight
+    for shape in ((3, 12), (5, 16), (4, 12))
+    for order2 in (1, 4, 7)
+]
+
+
+@pytest.mark.parametrize(
+    "profile, order2", SUMMED_CASES,
+    ids=[f"{p.fiber_dim}-{p.max_form_degree}-o{o}" for p, o in SUMMED_CASES],
+)
+def test_summed_theta2_equals_the_factor_product(profile, order2):
+    summed = summed_theta2(profile, order2)
+    assert summed.series == build_theta_bundle(THETA2, profile, order2).series
+    assert summed.series.order2 == order2
+
+
+@pytest.mark.parametrize("dim", (6, 10, 14, 18, 25, 29))
+def test_summed_theta2_sees_the_half_power_sign(dim, clear_memos, monkeypatch):
+    # t = +q^(1/2) instead of -q^(1/2) in the Lambda factor's log: wrong b_r/z_r
+    original = witten._factor_logs
+
+    def flipped(adams_sign, t_sign, t_exp2, order2, max_weight):
+        if (adams_sign, t_exp2) == (-1, 1):
+            t_sign = -t_sign
+        return original(adams_sign, t_sign, t_exp2, order2, max_weight)
+
+    monkeypatch.setattr(witten, "_factor_logs", flipped)
+    assert verify_decomposition_identity(dim).status == "fail"
+    assert verify_main_identity(dim).status == "fail"

@@ -27,7 +27,10 @@ with m_k the number of parts k of lambda and S^lambda = prod_i S_(lambda_i).
 p-monomial dict (Newton's S_k are integral in the p_i).  The L_k are
 rational q-series, cleared to integers once per call; each partition's
 coefficient is an integer q-series over its own denominator, one
-convolution from a shorter partition's.  For each q-power the S^lambda are
+convolution from a shorter partition's.  A partition whose shorter prefix
+is already zero below the truncation (L_k of a factor at t = q^(e/2) starts
+at q^(e/2), so long partitions of a late factor leave the window) gets no
+convolution and no row.  For each q-power the S^lambda are
 summed over the partitions' common denominator: no class product, no
 exponential, no ``Fraction`` per monomial.
 ``pair_log`` is the reference log of an f given by its u-coefficients,
@@ -39,12 +42,14 @@ Every ring product goes through one weight-graded kernel
 (``_graded_product``, after the weight grading of Hirzebruch, Berger and
 Jung, *Manifolds and Modular Forms*):
 
-- **Weight buckets.** Each operand monomial's weight is memoised.  The right
-  operand is bucketed by weight, so a left monomial of weight w1 visits only
-  the buckets whose weight keeps the product inside the requested window;
-  pairs above the truncation are never formed.  Monomials travel through
-  the loop as integer codes (exponents as base-(top weight + 1) digits), so
-  a monomial product is one integer addition.
+- **Coded operands.** Each monomial's weight and code are memoised.  The left
+  operand is coded once per product, as (weight, code, numerator) triples;
+  the right operand is a list of (code, numerator) pairs sorted by weight,
+  so a left monomial of weight w1 visits one slice of it, the weights that
+  keep the product inside the requested window; pairs above the truncation
+  are never formed.  A code writes a monomial's exponents as base-(top
+  weight + 1) digits, so a monomial product is one integer addition.
+  ``_accumulate`` is the one loop over such operands.
 - **Integer numerators.** A class is integer numerators over one
   denominator in lowest terms, so equal classes compare equal.  The loop
   multiplies numerators, the denominators multiply, and one gcd reduces the
@@ -54,10 +59,10 @@ Jung, *Manifolds and Modular Forms*):
   forming the rest of the product.
 - **Bigraded series kernel.** A q-series over ``GradedRing`` (the Witten
   bundles) is multiplied by ``GradedRing.series_mul``.  Each operand series
-  is put over the lcm of its classes' denominators; for each output
-  exponent the same buckets, codes and loop accumulate the integer products
-  of every pair of q-terms.  No ``GradedClass`` product or sum is formed per
-  pair of q-terms.
+  is put over the lcm of its classes' denominators and each of its classes
+  is coded once; for each output exponent the same loop accumulates the
+  integer products of every pair of q-terms.  No ``GradedClass`` product or
+  sum is formed per pair of q-terms.
 
 Kernel output is clean (trimmed, in range, nonzero), so ``_wrap`` adopts it
 after one gcd.  Integrality is checked, not asserted: ArithmeticError on
@@ -114,12 +119,12 @@ def _grlex_key(mon: tuple):
 
 
 @lru_cache(maxsize=None)
-def _mon_code(mon: tuple, base: int) -> int:
-    """Exponents as base-`base` digits: codes add when monomials multiply."""
+def _weight_code(mon: tuple, base: int) -> tuple:
+    """(weight, code): the exponents as base-`base` digits, so codes add when monomials multiply."""
     code = 0
     for a in reversed(mon):
         code = code * base + a
-    return code
+    return monomial_weight(mon), code
 
 
 @lru_cache(maxsize=None)
@@ -132,28 +137,38 @@ def _code_mon(code: int, base: int) -> tuple:
     return tuple(mon)
 
 
-def _weight_buckets(b: dict, base: int, w_hi: int) -> list:
-    """The right operand as code -> coefficient dicts, one bucket per weight."""
-    buckets = [{} for _ in range(w_hi + 1)]
+def _by_weight(b: dict, base: int, w_hi: int) -> tuple:
+    """The right operand: (code, coefficient) pairs sorted by weight, and each weight's start."""
+    buckets = [[] for _ in range(w_hi + 1)]
     for m, c in b.items():
-        w = monomial_weight(m)
+        w, k = _weight_code(m, base)
         if w <= w_hi:
-            buckets[w][_mon_code(m, base)] = c
-    return buckets
+            buckets[w].append((k, c))
+    pairs, start = [], [0]
+    for bucket in buckets:
+        pairs += bucket
+        start.append(len(pairs))
+    return pairs, start
 
 
-def _accumulate(acc: dict, a: dict, buckets: list, base: int, w_lo: int, w_hi: int):
-    """acc[code] += every product of `a` with the buckets of weight w_lo..w_hi."""
-    for m1, c1 in a.items():
-        w1 = monomial_weight(m1)
-        if w1 > w_hi:
-            continue
-        k1 = _mon_code(m1, base)
-        for bucket in buckets[max(w_lo - w1, 0) : w_hi - w1 + 1]:
-            for k2, c2 in bucket.items():
-                k = k1 + k2
-                prod = c1 * c2
-                acc[k] = acc[k] + prod if k in acc else prod
+def _coded(a: dict, base: int, w_hi: int) -> list:
+    """The left operand as (weight, code, numerator) triples of weight <= w_hi."""
+    out = []
+    for m, c in a.items():
+        w, k = _weight_code(m, base)
+        if w <= w_hi:
+            out.append((w, k, c))
+    return out
+
+
+def _accumulate(acc: dict, left: list, right: tuple, w_lo: int, w_hi: int):
+    """acc[code] += every product of the coded `left` with the right pairs of weight w_lo..w_hi."""
+    pairs, start = right
+    for w1, k1, c1 in left:
+        for k2, c2 in pairs[start[w_lo - w1] if w_lo > w1 else 0 : start[w_hi - w1 + 1]]:
+            k = k1 + k2
+            prod = c1 * c2
+            acc[k] = acc[k] + prod if k in acc else prod
 
 
 def _reduced(num: dict, den: int) -> tuple:
@@ -174,7 +189,7 @@ def _graded_product(a: dict, b: dict, w_lo: int, w_hi: int) -> dict:
         return {}
     base = w_hi + 1
     acc = {}
-    _accumulate(acc, a, _weight_buckets(b, base, w_hi), base, w_lo, w_hi)
+    _accumulate(acc, _coded(a, base, w_hi), _by_weight(b, base, w_hi), w_lo, w_hi)
     return {_code_mon(k, base): n for k, n in acc.items() if n}
 
 
@@ -403,26 +418,26 @@ class GradedRing:
         """exp2 -> GradedClass product of two series: the bigraded kernel.
 
         Each operand series is put over the lcm of its classes' denominators
-        (a class is rescaled only when its own differs); integers are
-        accumulated one output exponent at a time with `_graded_product`'s
-        buckets and codes, and each output class is wrapped with one gcd.
-        Returns nonzero classes for exp2 < order2.
+        (a class is rescaled only when its own differs) and each class is
+        coded once, as in `_graded_product`; integers are accumulated one
+        output exponent at a time, and each output class is wrapped with one
+        gcd.  Returns nonzero classes for exp2 < order2.
         """
         if not a or not b:
             return {}
         w_hi = self.profile.max_weight
         base = w_hi + 1
         den_a, den_b = (lcm(*[c._den for c in x.values()]) for x in (a, b))
-        left = [(e, c._scaled(den_a)) for e, c in a.items()]
-        right = {e: _weight_buckets(c._scaled(den_b), base, w_hi) for e, c in b.items()}
+        left = [(e, _coded(c._scaled(den_a), base, w_hi)) for e, c in a.items()]
+        right = {e: _by_weight(c._scaled(den_b), base, w_hi) for e, c in b.items()}
         den = den_a * den_b
         out = {}
         for e in range(order2):
             acc = {}
             for e1, part in left:
-                buckets = right.get(e - e1)
-                if buckets is not None:
-                    _accumulate(acc, part, buckets, base, 0, w_hi)
+                other = right.get(e - e1)
+                if other is not None:
+                    _accumulate(acc, part, other, 0, w_hi)
             num = {_code_mon(k, base): n for k, n in acc.items() if n}
             if num:
                 out[e] = GradedClass._wrap(self.profile, num, den)
@@ -522,19 +537,19 @@ def product_over_root_pairs(
     coeffs = {(): (f0_num, f0_den)}
 
     def coefficient(parts):
-        """f0^r prod_k L_k^(m_k) / m_k!: one integer convolution per appended part."""
+        """f0^r prod_k L_k^(m_k) / m_k!, one integer convolution per appended part; None if zero."""
         if parts not in coeffs:
             k = parts[-1]
-            num, den = coefficient(parts[:-1])
-            num = convolve(num, logs[k - 1], order2)
-            coeffs[parts] = _reduced(num, den * l_den * parts.count(k))
+            prefix = coefficient(parts[:-1])
+            num = convolve(prefix[0], logs[k - 1], order2) if prefix else None
+            coeffs[parts] = _reduced(num, prefix[1] * l_den * parts.count(k)) if num else None
         return coeffs[parts]
 
     rows = [
-        (coefficient(parts), s)
+        (c, s)
         for v in (range(w_max + 1) if weights is None else weights)
         for parts, s in power_sum_products(profile, v)
-        if s
+        if s and (c := coefficient(parts))
     ]
     den = lcm(*[d for (_, d), _ in rows])
     rows = [({e: n * (den // d) for e, n in num.items()}, s) for (num, d), s in rows]

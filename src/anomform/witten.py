@@ -25,13 +25,18 @@ at t = +-q^(e/2): a zero root contributes nothing, and no exterior power
 is formed and no series inverted.  ``_factor_logs`` writes these logs once.
 
 Two builders read them.  ``build_theta_bundle`` multiplies the factors one
-by one; it serves the K-theory route (``anomaly.p_form``, ``verify routes``
-and ``expand theta-bundle``) through `theta_bundle`, its memo: one build
-per (kind, profile) and process, truncated for smaller requests.  That
-route keeps its product of exponentials, which the route check sets against
-the theta route's exponential of one summed log.  ``summed_theta2`` adds
-the factor logs and exponentiates once; it serves the b_r/z_r solve
-(``modforms.decompose_theta2``), which reads Theta_2 only through q^(m/2).
+by one: the S factors (``_symmetric_half``), then the kind's Lambda factors.
+It serves the K-theory route (``anomaly.p_form``, ``verify routes`` and
+``expand theta-bundle``) through `theta_bundle`, its memo: one build per
+(kind, profile) and process, truncated for smaller requests.  The two kinds
+share their S half, so the memo builds it once per profile, holds it at the
+largest order built and truncates it for each kind; it drops the half once
+both bundles of the profile are held at the half's order or above, when no
+request can read it again.  That route keeps its product of exponentials,
+which the route check sets against the theta route's exponential of one
+summed log.  ``summed_theta2`` adds the factor logs and exponentiates
+once; it serves the b_r/z_r solve (``modforms.decompose_theta2``), which
+reads Theta_2 only through q^(m/2).
 """
 
 from __future__ import annotations
@@ -126,14 +131,25 @@ def default_theta_order2(m: int) -> int:
     return 2 * m + 5
 
 
-def build_theta_bundle(kind: str, profile: RootProfile, order2: int) -> ThetaBundleSeries:
-    """Tensor together the S and Lambda factors up to the truncation order."""
-    if kind not in (THETA1, THETA2):
-        raise ValueError(f"unknown theta bundle kind {kind!r}")
-    ring = GradedRing(profile)
-    series = HalfQSeries.one(ring, order2)
+def _symmetric_half(profile: RootProfile, order2: int) -> HalfQSeries:
+    """prod_n S_(q^n) of the reduced bundle: the factors Theta_1 and Theta_2 share."""
+    series = HalfQSeries.one(GradedRing(profile), order2)
     for exp2 in range(2, order2, 2):
         series = series * s_t_character(profile, 1, exp2, order2)
+    return series
+
+
+def build_theta_bundle(
+    kind: str, profile: RootProfile, order2: int, *, half: HalfQSeries | None = None
+) -> ThetaBundleSeries:
+    """Tensor together the S and Lambda factors up to the truncation order.
+
+    `half` is ``_symmetric_half(profile, o)`` for some o >= order2, built
+    afresh when not given; the kind's Lambda factors multiply onto it.
+    """
+    if kind not in (THETA1, THETA2):
+        raise ValueError(f"unknown theta bundle kind {kind!r}")
+    series = _symmetric_half(profile, order2) if half is None else half.truncate(order2)
     if kind == THETA1:
         for exp2 in range(2, order2, 2):
             series = series * lambda_t_character(profile, 1, exp2, order2)
@@ -170,11 +186,19 @@ def theta_bundle(kind: str, profile: RootProfile, order2: int) -> ThetaBundleSer
     """build_theta_bundle, built once per (kind, profile) and truncated on reuse.
 
     A request above the stored order rebuilds at that order and replaces the
-    stored bundle; the result always has exactly the requested order2.
+    stored bundle; the result always has exactly the requested order2.  The
+    two kinds' shared S half is held under the profile at the largest order
+    built, until both bundles are held at its order or above.
     """
     held = _THETA_MEMO.get((kind, profile))
     if held is None or held.series.order2 < order2:
-        held = _THETA_MEMO[kind, profile] = build_theta_bundle(kind, profile, order2)
+        half = _THETA_MEMO.get(profile)
+        if half is None or half.order2 < order2:
+            half = _THETA_MEMO[profile] = _symmetric_half(profile, order2)
+        held = _THETA_MEMO[kind, profile] = build_theta_bundle(kind, profile, order2, half=half)
+        bundles = [_THETA_MEMO.get((k, profile)) for k in (THETA1, THETA2)]
+        if all(b is not None and b.series.order2 >= half.order2 for b in bundles):
+            del _THETA_MEMO[profile]
     return held if held.series.order2 == order2 else held.truncate(order2)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from anomform import anomaly, cli, genera, modforms, witten
 from anomform.anomaly import ROUTE_KTHEORY, ROUTE_THETA, identity_profile, verify_route_equivalence
+from anomform.chroot import RootProfile
 from anomform.genera import AHAT, L_FULL, L_HALF, genus_pair_log
 from anomform.qseries import HalfQSeries
 from anomform.witten import THETA1, THETA2, build_theta_bundle, theta_bundle
@@ -17,12 +18,33 @@ def count_builds(monkeypatch) -> Counter:
     builds = Counter()
     original = witten.build_theta_bundle
 
-    def counted(kind, profile, order2):
+    def counted(kind, profile, order2, **kwargs):
         builds[kind, profile] += 1
-        return original(kind, profile, order2)
+        return original(kind, profile, order2, **kwargs)
 
     monkeypatch.setattr(witten, "build_theta_bundle", counted)
     return builds
+
+
+def count_factor_builds(monkeypatch) -> Counter:
+    """Count the S_t and Lambda_t factor builds per (name, profile, t_sign, t_exp2) from now on."""
+    factors = Counter()
+    for name in ("s_t_character", "lambda_t_character"):
+
+        def counted(profile, t_sign, t_exp2, order2, name=name, original=getattr(witten, name)):
+            factors[name, profile, t_sign, t_exp2] += 1
+            return original(profile, t_sign, t_exp2, order2)
+
+        monkeypatch.setattr(witten, name, counted)
+    return factors
+
+
+def factor_totals(factors: Counter) -> dict:
+    """Factor builds per factor name."""
+    totals = Counter()
+    for (name, *_), n in factors.items():
+        totals[name] += n
+    return dict(totals)
 
 
 @pytest.mark.parametrize("kind", (THETA1, THETA2))
@@ -30,28 +52,75 @@ def count_builds(monkeypatch) -> Counter:
 def test_memo_matches_fresh_build(clear_memos, monkeypatch, kind, orders, n_builds):
     profile = identity_profile(10)
     builds = count_builds(monkeypatch)
-    for order2 in orders:
-        got = theta_bundle(kind, profile, order2)
-        assert got.series.order2 == order2
-        assert got == build_theta_bundle(kind, profile, order2)
-    # a larger request rebuilds once; a smaller one only truncates
+    factors = count_factor_builds(monkeypatch)
+    got = [theta_bundle(kind, profile, order2) for order2 in orders]
+    # a larger request rebuilds once, with its S and Lambda factors; a
+    # smaller one only truncates.  At order2 5 and 9 either kind has 2 and 4
+    # S factors (exp2 2, 4, ...) and as many Lambda factors
     assert builds == {(kind, profile): n_builds}
+    n_factors = {(5, 9, 7): 2 + 4, (9, 5): 4}[orders]
+    assert factor_totals(factors) == {"s_t_character": n_factors, "lambda_t_character": n_factors}
+    for bundle, order2 in zip(got, orders):
+        assert bundle.series.order2 == order2
+        assert bundle == build_theta_bundle(kind, profile, order2)
+
+
+# (kind, order2) requests: either kind first, higher orders after lower ones and lower after higher
+REQUESTS = {
+    "theta1-first": [(THETA1, 7), (THETA2, 7)],
+    "theta2-first": [(THETA2, 7), (THETA1, 7)],
+    "higher-later": [(THETA2, 5), (THETA1, 9), (THETA2, 9), (THETA1, 7)],
+    "lower-later": [(THETA2, 9), (THETA1, 2), (THETA1, 9)],
+}
+# the orders the shared S half is built at, and whether the memo holds it after each request
+HALVES = {
+    "theta1-first": ([7], [True, False]),
+    "theta2-first": ([7], [True, False]),
+    "higher-later": ([5, 9], [True, True, False, False]),
+    "lower-later": ([9], [True, True, False]),
+}
+
+
+@pytest.mark.parametrize("name", REQUESTS)
+@pytest.mark.parametrize(
+    "profile",
+    (identity_profile(10), identity_profile(25), RootProfile(3, 12)),
+    ids=("dim10", "dim25-zero-root", "unstable-3-12"),
+)
+def test_both_kinds_share_one_symmetric_half(clear_memos, monkeypatch, profile, name):
+    factors = count_factor_builds(monkeypatch)
+    got, held = [], []
+    for kind, order2 in REQUESTS[name]:
+        got.append(theta_bundle(kind, profile, order2))
+        held.append(profile in witten._THETA_MEMO)
+    half_orders, expected_held = HALVES[name]
+    # each S factor is built once per order the half is built at, whichever
+    # kind asked first; the half leaves the memo once both kinds are held at
+    # its order or above
+    s_builds = {key[3]: n for key, n in factors.items() if key[0] == "s_t_character"}
+    assert s_builds == Counter(e for o in half_orders for e in range(2, o, 2))
+    assert held == expected_held
+    for bundle, (kind, order2) in zip(got, REQUESTS[name]):
+        assert bundle == build_theta_bundle(kind, profile, order2)
 
 
 def test_verify_all_builds_each_bundle_once(clear_memos, monkeypatch, tmp_path):
     builds = count_builds(monkeypatch)
+    factors = count_factor_builds(monkeypatch)
     argv = ["verify", "all", "--allow-degenerate", "--out", str(tmp_path / "report.json")]
     assert cli.main(argv) == 0
     assert builds and set(builds.values()) == {1}
+    # and every factor of every bundle once
+    assert factors and set(factors.values()) == {1}
 
 
 def count_calls(monkeypatch, counts: Counter, module, name: str) -> None:
     """Count the calls made through `module`.`name` from now on."""
     original = getattr(module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         counts[name] += 1
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
 
@@ -62,15 +131,19 @@ def test_verify_all_solves_each_decomposition_once(clear_memos, monkeypatch, tmp
     count_calls(monkeypatch, counts, anomaly, "basis_decompose")
     count_calls(monkeypatch, counts, modforms, "_solve")
     count_calls(monkeypatch, counts, witten, "build_theta_bundle")
+    count_calls(monkeypatch, counts, witten, "s_t_character")
+    count_calls(monkeypatch, counts, witten, "lambda_t_character")
     argv = ["verify", "all", "--allow-degenerate", "--out", str(tmp_path / "report.json")]
     assert cli.main(argv) == 0
     # one Theta_2 solve and one eq3.12/eq3.33 decomposition per identity
     # class (dim 1, b at m = 0, 1, 2 and z at m = 1, 2), read by its 15
     # decomposition, main and corollary checks; each solve is one _solve.
     # The solves read the summed Theta_2: only the K-theory route of the
-    # classes b m=0, z m=1 and b m=1 builds a bundle
+    # classes b m=0, z m=1 and b m=1 builds a bundle, Theta_2 at order2 5,
+    # 7 and 7, with 2 + 3 + 3 S factors and as many Lambda factors
     assert counts == {
         "decompose_theta2": 6, "basis_decompose": 6, "_solve": 12, "build_theta_bundle": 3,
+        "s_t_character": 8, "lambda_t_character": 8,
     }
     counts.clear()
     assert cli.main(argv) == 0  # the second run finds every class in the memos
@@ -81,21 +154,30 @@ def test_main_then_routes_builds_theta2_once(clear_memos, monkeypatch):
     orders = []
     original = witten.build_theta_bundle
 
-    def recorded(kind, profile, order2):
+    def recorded(kind, profile, order2, **kwargs):
         orders.append((kind, order2))
-        return original(kind, profile, order2)
+        return original(kind, profile, order2, **kwargs)
 
     monkeypatch.setattr(witten, "build_theta_bundle", recorded)
+    factors = count_factor_builds(monkeypatch)
     assert anomaly.verify_main_identity(10).status == "pass"
     assert verify_route_equivalence(10).status == "pass"
-    # the solve reads the summed Theta_2; the K-theory route builds at 2m+5
+    # the solve reads the summed Theta_2; the K-theory route builds at 2m+5,
+    # each of its S and Lambda_(-q^(n-1/2)) factors once
     assert orders == [(THETA2, 7)]
+    assert sorted((key[0], key[3]) for key in factors) == [
+        ("lambda_t_character", 1), ("lambda_t_character", 3), ("lambda_t_character", 5),
+        ("s_t_character", 2), ("s_t_character", 4), ("s_t_character", 6),
+    ]
+    assert set(factors.values()) == {1}
 
 
 def test_decompose_theta2_builds_no_bundle(clear_memos, monkeypatch):
     counts = Counter()
     count_calls(monkeypatch, counts, witten, "build_theta_bundle")
     count_calls(monkeypatch, counts, witten, "theta_bundle")
+    count_calls(monkeypatch, counts, witten, "s_t_character")
+    count_calls(monkeypatch, counts, witten, "lambda_t_character")
     for dim in (1, 2, 6, 10, 25):
         modforms.decompose_theta2(modforms.identity_parameters(dim)[1], anomaly._class_profile(dim))
     assert counts == {}

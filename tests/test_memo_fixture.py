@@ -19,7 +19,7 @@ from conftest import _MEMOS
 MODULES = sorted(Path(anomform.__file__).parent.glob("*.py"))
 
 # monomial weights and monomial codes: no artifact, nothing to perturb
-INDEX_CACHES = {"monomial_weight", "_mon_code", "_code_mon"}
+INDEX_CACHES = {"monomial_weight", "_weight_code", "_code_mon"}
 
 
 def _is_unbounded_lru_cache(decorator) -> bool:

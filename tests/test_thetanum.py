@@ -133,6 +133,39 @@ def test_delta_eps_transformation(law):
     assert report.passed, report.max_residual
 
 
+def delta_eps_residual(which: str, tau: complex, prefactor: complex) -> float:
+    """The eq3.5 residual of delta_2/epsilon_2(-1/tau) against prefactor * delta_1/epsilon_1(tau).
+
+    The law's formula: relative for epsilon; for delta, divided by |prefactor|
+    times the size (|a| + |b|) / 8 of the two nullwert 4th powers it sums.
+    """
+    lhs = delta_epsilon_eval(which + "2", -1.0 / tau)
+    rhs = prefactor * delta_epsilon_eval(which + "1", tau)
+    if which == "eps":
+        return abs(lhs - rhs) / abs(rhs)
+    a, b = thetanum._nullwert_fourths("delta1", tau, None)
+    return abs(lhs - rhs) / (abs(prefactor) * (abs(a) + abs(b)) / 8.0)
+
+
+@pytest.mark.parametrize("which, right, wrong", [
+    ("delta", lambda tau: tau**2, lambda tau: tau**2 / 2),
+    ("eps", lambda tau: tau**4, lambda tau: tau**3),
+], ids=["delta-half-tau^2", "eps-tau^3"])
+def test_wrong_delta_eps_prefactor_fails_every_sample(which, right, wrong):
+    # negative control: the weight-2 and weight-4 prefactors of eq3.5, each
+    # replaced by a wrong one, on the CLI's default samples
+    law = f"eq3.5{which}"
+    taus = _numeric_default_samples(law)
+    report = check_transformation(law, taus)
+    # the formula here is the law's: with the right prefactor it gives the law's residuals
+    assert [delta_eps_residual(which, tau, right(tau)) for tau in taus] == pytest.approx(
+        report.residuals, abs=1e-15
+    )
+    assert report.passed
+    residuals = [delta_eps_residual(which, tau, wrong(tau)) for tau in taus]
+    assert min(residuals) > report.tolerance
+
+
 def test_delta_fixed_point_at_i():
     # tau = i is fixed by the S-action, tying the two weight-2 forms together
     assert abs(delta_epsilon_eval("delta2", 1j) + delta_epsilon_eval("delta1", 1j)) < 1e-12

@@ -110,6 +110,30 @@ def test_route_check_sees_the_factor_logs(clear_memos, monkeypatch, kind, dim, v
     assert verify_route_equivalence(dim, kind, l_variant=variant).status == "fail"
 
 
+def test_a_wrong_shared_s_factor_fails_both_kinds(clear_memos, monkeypatch):
+    # S_(q^1) off by the trivial line at q^1: both bundles of the class share
+    # the perturbed half, and each route check must still see it at exp2 2
+    original = witten.s_t_character
+    calls = []
+
+    def perturbed(profile, t_sign, t_exp2, order2):
+        series = original(profile, t_sign, t_exp2, order2)
+        if t_exp2 != 2:
+            return series
+        calls.append(profile)
+        return series + HalfQSeries(series.ring, {2: series.coefficient(0)}, order2)
+
+    monkeypatch.setattr(witten, "s_t_character", perturbed)
+    reports = [
+        verify_route_equivalence(25, kind=P2),
+        verify_route_equivalence(25, kind=P1, l_variant=L_HALF),
+    ]
+    assert [(r.status, [res["exp2"] for res in r.residuals]) for r in reports] == [
+        ("fail", [2]), ("fail", [2]),
+    ]
+    assert len(calls) == 1  # one half, read by both kinds
+
+
 def test_lambda_of_reduced_trivial_bundle_is_one():
     # reduced rank cancels: Lambda_t(E - dim E) with E trivial
     profile = RootProfile(1, 4)
